@@ -3,6 +3,7 @@ package alisa
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 )
 
@@ -61,6 +62,41 @@ func TestServeClusterDeterministic(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("two identical cluster runs diverged")
+	}
+}
+
+// TestServeClusterIdleJumpLandsOnArrival replays a conversation+RAG
+// prefix trace whose idle replicas jump their clocks to arrivals that
+// floating-point subtraction lands one ulp short of. The jump must still
+// count the head request as arrived: every request completes, where the
+// loop once declared request 17 unservable with no cause.
+func TestServeClusterIdleJumpLandsOnArrival(t *testing.T) {
+	const seed = 14
+	const maxSeq = 2048 // opt-6.7b's context length
+	conv, err := NewConversationTrace(16, 12, 6, maxSeq, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rag, err := NewRAGTrace(50, 6, maxSeq, seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := append(append(TraceWorkload{}, conv...), rag...)
+	sort.SliceStable(tr, func(i, j int) bool { return tr[i].Arrival < tr[j].Arrival })
+	for i := range tr {
+		tr[i].ID = i
+	}
+	eng, err := New("opt-6.7b", WithScheduler("vllm"), WithProfile("V100-32GB"),
+		WithPrefixCache(PrefixCache{BlockTokens: 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.ServeCluster(context.Background(), ClusterSpec{Replicas: 8, Router: "prefix-affinity"}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(tr) {
+		t.Fatalf("completed %d of %d", res.Completed, len(tr))
 	}
 }
 

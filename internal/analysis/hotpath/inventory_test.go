@@ -14,7 +14,9 @@ import (
 // wantAnnotated is the agreed hot-path set: the serving loop's
 // admission/decode path, the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
-// insert/evict machinery, and the gateway's per-event fan-out. The test fails in BOTH directions — a lost
+// insert/evict machinery, the gateway's per-event fan-out, and ALISA's
+// per-step token placement (Alisa.Step and the TokenStore queries it
+// makes). The test fails in BOTH directions — a lost
 // annotation shrinks coverage silently, and a new annotation is a
 // contract change that belongs in this list (and in DESIGN.md §12).
 var wantAnnotated = []string{
@@ -22,10 +24,14 @@ var wantAnnotated = []string{
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/gateway.(bridgeTap).OnToken",
+	"internal/kvcache.(*TokenStore).CountsIn",
+	"internal/kvcache.(*TokenStore).Newest",
+	"internal/kvcache.(*TokenStore).Oldest",
 	"internal/metrics.(*Window).Observe",
 	"internal/metrics/sketch.(*Sketch).Observe",
 	"internal/metrics/sketch.(*Sketch).compact",
 	"internal/metrics/sketch.(*Sketch).compress",
+	"internal/sched.(*Alisa).Step",
 	"internal/serve.(*reqQueue).Pop",
 	"internal/serve.(*reqQueue).Push",
 	"internal/serve.(*reqQueue).Requeue",

@@ -84,7 +84,7 @@ func New(p memsim.Profile) Cost {
 
 // gemmPeakFLOPS returns PeakFLOPS·GEMMUtil, hoisted by New or recomputed
 // for literal constructions.
-func (c Cost) gemmPeakFLOPS() float64 {
+func (c *Cost) gemmPeakFLOPS() float64 {
 	if c.gemmPeak != 0 {
 		return c.gemmPeak
 	}
@@ -92,7 +92,7 @@ func (c Cost) gemmPeakFLOPS() float64 {
 }
 
 // vecPeakFLOPS returns the elementwise compute ceiling PeakFLOPS·0.05.
-func (c Cost) vecPeakFLOPS() float64 {
+func (c *Cost) vecPeakFLOPS() float64 {
 	if c.vecPeak != 0 {
 		return c.vecPeak
 	}
@@ -100,7 +100,7 @@ func (c Cost) vecPeakFLOPS() float64 {
 }
 
 // scatterBandwidth returns HBMBandwidth·scatterEff.
-func (c Cost) scatterBandwidth() float64 {
+func (c *Cost) scatterBandwidth() float64 {
 	if c.scatterBW != 0 {
 		return c.scatterBW
 	}
@@ -111,7 +111,7 @@ func (c Cost) scatterBandwidth() float64 {
 // achieve: full GEMMUtil·Peak once the output saturates the GPU, degrading
 // linearly below SaturationElems with a floor (tiny ops cannot fill the
 // machine).
-func (c Cost) attainable(outputElems int64) float64 {
+func (c *Cost) attainable(outputElems int64) float64 {
 	frac := 1.0
 	if sat := c.Prof.SaturationElems; sat > 0 && float64(outputElems) < sat {
 		frac = float64(outputElems) / sat
@@ -124,7 +124,7 @@ func (c Cost) attainable(outputElems int64) float64 {
 
 // GEMM costs an m×k · k×n matrix multiply at the given element width with
 // operands read once and the result written once.
-func (c Cost) GEMM(m, k, n int64, bytesPerElem int) Sample {
+func (c *Cost) GEMM(m, k, n int64, bytesPerElem int) Sample {
 	flops := 2 * m * k * n
 	bytes := (m*k + k*n + m*n) * int64(bytesPerElem)
 	tCompute := float64(flops) / c.attainable(m*n)
@@ -135,7 +135,7 @@ func (c Cost) GEMM(m, k, n int64, bytesPerElem int) Sample {
 // BatchedGEMV costs batch independent vector-matrix products v(1×k)·M(k×n)
 // where every sequence has its own M — the decode-attention shape. Memory
 // traffic is dominated by reading all batch matrices.
-func (c Cost) BatchedGEMV(batch, k, n int64, bytesPerElem int) Sample {
+func (c *Cost) BatchedGEMV(batch, k, n int64, bytesPerElem int) Sample {
 	flops := 2 * batch * k * n
 	bytes := batch * (k + k*n + n) * int64(bytesPerElem)
 	tCompute := float64(flops) / c.attainable(batch*n)
@@ -146,7 +146,7 @@ func (c Cost) BatchedGEMV(batch, k, n int64, bytesPerElem int) Sample {
 // Elementwise costs a streaming pass over n elements with flopsPerElem
 // arithmetic each — softmax, layernorm, residual adds. vectorEff scales the
 // achievable bandwidth (1 = streaming-friendly).
-func (c Cost) elementwise(n int64, flopsPerElem, bytesPerElem int, vectorEff float64) Sample {
+func (c *Cost) elementwise(n int64, flopsPerElem, bytesPerElem int, vectorEff float64) Sample {
 	flops := n * int64(flopsPerElem)
 	bytes := 2 * n * int64(bytesPerElem) // read + write
 	tCompute := float64(flops) / c.vecPeakFLOPS()
@@ -155,13 +155,13 @@ func (c Cost) elementwise(n int64, flopsPerElem, bytesPerElem int, vectorEff flo
 }
 
 // Elementwise costs a streaming-friendly elementwise pass.
-func (c Cost) Elementwise(n int64, flopsPerElem, bytesPerElem int) Sample {
+func (c *Cost) Elementwise(n int64, flopsPerElem, bytesPerElem int) Sample {
 	return c.elementwise(n, flopsPerElem, bytesPerElem, 1)
 }
 
 // Gather costs packing n sparse rows of rowBytes each into a dense tensor
 // (scattered read + dense write), the "sparse KV tensors" bar of Fig. 11.
-func (c Cost) Gather(n int64, rowBytes int64) Sample {
+func (c *Cost) Gather(n int64, rowBytes int64) Sample {
 	bytes := 2 * n * rowBytes
 	return Sample{
 		Seconds: float64(bytes)/c.scatterBandwidth() + launchLatency,
@@ -171,7 +171,7 @@ func (c Cost) Gather(n int64, rowBytes int64) Sample {
 
 // Quantize costs an INT8 quantize or dequantize pass over bytes of FP16
 // data: one streaming read, one half-width write, light arithmetic.
-func (c Cost) Quantize(fp16Bytes int64) Sample {
+func (c *Cost) Quantize(fp16Bytes int64) Sample {
 	bytes := fp16Bytes + fp16Bytes/2
 	return Sample{Seconds: float64(bytes)/c.Prof.HBMBandwidth + launchLatency, Bytes: bytes}
 }
@@ -182,7 +182,7 @@ func (c Cost) Quantize(fp16Bytes int64) Sample {
 // magnitude cheaper than re-prefilling the same tokens — that gap is
 // the whole prefix-cache payoff — but not free, so a cache hit still
 // charges bandwidth proportional to the reused bytes.
-func (c Cost) PrefixReuse(kvBytes int64) Sample {
+func (c *Cost) PrefixReuse(kvBytes int64) Sample {
 	bytes := 2 * kvBytes
 	return Sample{Seconds: float64(bytes)/c.Prof.HBMBandwidth + launchLatency, Bytes: bytes}
 }
@@ -218,7 +218,7 @@ func (b AttnBreakdown) Total() float64 {
 
 // Attention costs a single-step (one new token per sequence) attention
 // module under the configuration.
-func (c Cost) Attention(cfg AttnConfig) AttnBreakdown {
+func (c *Cost) Attention(cfg AttnConfig) AttnBreakdown {
 	b := int64(cfg.Batch)
 	h := int64(cfg.Hidden)
 	sel := int64(cfg.Attended)
@@ -245,7 +245,7 @@ func (c Cost) Attention(cfg AttnConfig) AttnBreakdown {
 }
 
 // FFNTime costs the feed-forward block for one step of a batch.
-func (c Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
+func (c *Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 	mats := 2
 	if gated {
 		mats = 3
@@ -260,7 +260,7 @@ func (c Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 
 // DecodeLayerTime returns the MHA and FFN times for one decode step of one
 // layer at the given attended-token count.
-func (c Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
+func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
 	ac := AttnConfig{
 		Batch:    batch,
 		Hidden:   cfg.Hidden,
@@ -289,7 +289,7 @@ func (c Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, sw
 // per-kernel launch latency. For a single sequence this reduces exactly
 // to DecodeLayerTime at batch 1 summed over layers, keeping the serving
 // loop's charges consistent with the lockstep engine's.
-func (c Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, swa bool) (mha, ffn float64) {
+func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, swa bool) (mha, ffn float64) {
 	b := len(attended)
 	if b == 0 {
 		return 0, 0
@@ -328,7 +328,7 @@ func (c Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, sw
 // PrefillTime returns the time to prefill a batch of prompts of length s:
 // projection GEMMs at batch·s rows plus causal (half-square) attention,
 // where each sequence multiplies against its own keys and values.
-func (c Cost) PrefillTime(cfg model.Config, batch, s int) float64 {
+func (c *Cost) PrefillTime(cfg model.Config, batch, s int) float64 {
 	rows := int64(batch) * int64(s)
 	h := int64(cfg.Hidden)
 	sl := int64(s)
@@ -345,7 +345,7 @@ func (c Cost) PrefillTime(cfg model.Config, batch, s int) float64 {
 // RecomputeTime returns the time to recompute K/V tensors for n deleted
 // tokens of a batch: the K and V projections charged over the token rows
 // (paper Table II's Tr).
-func (c Cost) RecomputeTime(cfg model.Config, batch, tokens int) float64 {
+func (c *Cost) RecomputeTime(cfg model.Config, batch, tokens int) float64 {
 	if tokens <= 0 {
 		return 0
 	}

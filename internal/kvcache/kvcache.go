@@ -40,9 +40,17 @@ func (l Location) String() string {
 // TokenStore tracks per-token-position KV placement for a batch whose
 // sequences advance in lockstep (the paper's system evaluation setting).
 // Position i covers the KV of token i in every sequence of the batch.
+//
+// Besides the per-location populations, the store brackets each
+// location's positions: every position at l lies in [lo[l], hi[l]). The
+// brackets let Oldest/Newest start their scans near the answer and let
+// CountsIn skip the all-GPU stretches of a range, so the scheduler's
+// per-step queries do not grow with the prefix. A bracket is only
+// meaningful while its location is populated.
 type TokenStore struct {
 	loc    []Location
 	counts [3]int
+	lo, hi [3]int
 }
 
 // NewTokenStore returns an empty token-level store.
@@ -54,15 +62,18 @@ func (s *TokenStore) Len() int { return len(s.loc) }
 // Clone returns an independent deep copy of the store, for scheduler
 // forking.
 func (s *TokenStore) Clone() *TokenStore {
-	return &TokenStore{loc: append([]Location(nil), s.loc...), counts: s.counts}
+	c := *s
+	c.loc = append([]Location(nil), s.loc...)
+	return &c
 }
 
 // Append adds a new token position at the given location and returns its
 // index.
 func (s *TokenStore) Append(loc Location) int {
+	i := len(s.loc)
 	s.loc = append(s.loc, loc)
-	s.counts[loc]++
-	return len(s.loc) - 1
+	s.enter(i, loc)
+	return i
 }
 
 // Loc returns the location of position i.
@@ -80,8 +91,27 @@ func (s *TokenStore) Move(i int, to Location) {
 		return
 	}
 	s.counts[from]--
-	s.counts[to]++
+	// i was inside from's bracket; if it was an end, the bracket shrinks
+	// past it.
+	if i == s.lo[from] {
+		s.lo[from] = i + 1
+	}
+	if i+1 == s.hi[from] {
+		s.hi[from] = i
+	}
 	s.loc[i] = to
+	s.enter(i, to)
+}
+
+// enter counts position i in at loc and widens loc's bracket to cover it.
+func (s *TokenStore) enter(i int, loc Location) {
+	if s.counts[loc] == 0 {
+		s.lo[loc], s.hi[loc] = i, i+1
+	} else {
+		s.lo[loc] = min(s.lo[loc], i)
+		s.hi[loc] = max(s.hi[loc], i+1)
+	}
+	s.counts[loc]++
 }
 
 // Count returns how many positions live at loc.
@@ -91,6 +121,34 @@ func (s *TokenStore) Count(loc Location) int { return s.counts[loc] }
 // partition the byte-accounting invariants are stated over.
 func (s *TokenStore) Counts() (gpu, cpu, deleted int) {
 	return s.counts[GPU], s.counts[CPU], s.counts[Deleted]
+}
+
+// CountsIn returns the GPU/CPU/Deleted populations of positions
+// [lo, hi), indexed by Location. Positions outside the bracket of the
+// CPU and Deleted locations are all on GPU, so only the overlap is
+// scanned: a store with nothing off the GPU answers in O(1), and any
+// other store in at most one pass over the range.
+//
+//alisa:hotpath
+func (s *TokenStore) CountsIn(lo, hi int) [3]int {
+	if lo < 0 || hi > len(s.loc) || lo > hi {
+		s.badRange(lo, hi)
+	}
+	from, to := hi, lo
+	for _, l := range [2]Location{CPU, Deleted} {
+		if s.counts[l] > 0 {
+			from = min(from, max(lo, s.lo[l]))
+			to = max(to, min(hi, s.hi[l]))
+		}
+	}
+	var c [3]int
+	if from < to {
+		for _, l := range s.loc[from:to] {
+			c[l]++
+		}
+	}
+	c[GPU] = hi - lo - c[CPU] - c[Deleted]
+	return c
 }
 
 // Bytes returns the resident byte totals of the sequence at tokenBytes per
@@ -108,67 +166,53 @@ func (s *TokenStore) Bytes(tokenBytes int64) (gpu, cpu int64) {
 func (s *TokenStore) Reset() {
 	s.loc = s.loc[:0]
 	s.counts = [3]int{}
+	s.lo, s.hi = [3]int{}, [3]int{}
 }
 
-// OldestIn returns up to max position indices at loc, oldest first — the
-// eviction order of both ALISA's offload heuristic ("store the preceding
-// ones in the CPU") and its Phase III deletion ("delete the oldest KV
-// tensors in the CPU").
-func (s *TokenStore) OldestIn(loc Location, max int) []int {
-	if max <= 0 {
-		return nil
+// Oldest returns the lowest position at loc, or -1 when loc is empty —
+// the eviction victim of both ALISA's offload heuristic ("store the
+// preceding ones in the CPU") and its Phase III deletion ("delete the
+// oldest KV tensors in the CPU"). The scan starts at loc's bracket and
+// tightens it to the answer, so repeated oldest-first eviction costs
+// amortized O(1) per victim.
+//
+//alisa:hotpath
+func (s *TokenStore) Oldest(loc Location) int {
+	if s.counts[loc] == 0 {
+		return -1
 	}
-	out := make([]int, 0, max)
-	for i, l := range s.loc {
-		if l == loc {
-			out = append(out, i)
-			if len(out) == max {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// NewestIn returns up to max position indices at loc, newest first.
-func (s *TokenStore) NewestIn(loc Location, max int) []int {
-	if max <= 0 {
-		return nil
-	}
-	out := make([]int, 0, max)
-	for i := len(s.loc) - 1; i >= 0; i-- {
+	for i := s.lo[loc]; ; i++ {
 		if s.loc[i] == loc {
-			out = append(out, i)
-			if len(out) == max {
-				break
-			}
+			s.lo[loc] = i
+			return i
 		}
 	}
-	return out
 }
 
-// FractionIn returns the fraction of the first prefix positions that live
-// at loc; prefix ≤ 0 returns 0.
-func (s *TokenStore) FractionIn(loc Location, prefix int) float64 {
-	if prefix <= 0 {
-		return 0
+// Newest returns the highest position at loc, or -1 when loc is empty,
+// tightening loc's bracket from above as Oldest does from below.
+//
+//alisa:hotpath
+func (s *TokenStore) Newest(loc Location) int {
+	if s.counts[loc] == 0 {
+		return -1
 	}
-	if prefix > len(s.loc) {
-		prefix = len(s.loc)
-	}
-	n := 0
-	for i := 0; i < prefix; i++ {
+	for i := s.hi[loc] - 1; ; i-- {
 		if s.loc[i] == loc {
-			n++
+			s.hi[loc] = i + 1
+			return i
 		}
 	}
-	return float64(n) / float64(prefix)
 }
 
 func (s *TokenStore) check(i int) {
 	if i < 0 || i >= len(s.loc) {
 		panic(fmt.Sprintf("kvcache: position %d out of range %d", i, len(s.loc)))
 	}
+}
+
+func (s *TokenStore) badRange(lo, hi int) {
+	panic(fmt.Sprintf("kvcache: range [%d,%d) out of range %d", lo, hi, len(s.loc)))
 }
 
 // BlockStore is vLLM-style paged placement: tokens fill fixed-size blocks;

@@ -49,39 +49,63 @@ func TestTokenStoreOldestNewest(t *testing.T) {
 	s.Move(0, CPU)
 	s.Move(2, CPU)
 	s.Move(5, CPU)
-	oldest := s.OldestIn(CPU, 2)
-	if len(oldest) != 2 || oldest[0] != 0 || oldest[1] != 2 {
-		t.Fatalf("OldestIn = %v, want [0 2]", oldest)
+	if got := s.Oldest(CPU); got != 0 {
+		t.Fatalf("Oldest(CPU) = %d, want 0", got)
 	}
-	newest := s.NewestIn(CPU, 2)
-	if len(newest) != 2 || newest[0] != 5 || newest[1] != 2 {
-		t.Fatalf("NewestIn = %v, want [5 2]", newest)
+	if got := s.Newest(CPU); got != 5 {
+		t.Fatalf("Newest(CPU) = %d, want 5", got)
 	}
-	if got := s.OldestIn(Deleted, 3); len(got) != 0 {
-		t.Fatalf("no deleted positions expected, got %v", got)
+	if got := s.Oldest(GPU); got != 1 {
+		t.Fatalf("Oldest(GPU) = %d, want 1", got)
 	}
-	if got := s.OldestIn(CPU, 0); len(got) != 0 {
-		t.Fatalf("max 0 should return nothing, got %v", got)
+	if got := s.Newest(GPU); got != 4 {
+		t.Fatalf("Newest(GPU) = %d, want 4", got)
+	}
+	if got := s.Oldest(Deleted); got != -1 {
+		t.Fatalf("no deleted positions expected, Oldest = %d", got)
+	}
+	if got := s.Newest(Deleted); got != -1 {
+		t.Fatalf("no deleted positions expected, Newest = %d", got)
+	}
+	// Evicting the oldest CPU position exposes the next one.
+	s.Move(0, Deleted)
+	if got := s.Oldest(CPU); got != 2 {
+		t.Fatalf("Oldest(CPU) after eviction = %d, want 2", got)
 	}
 }
 
-func TestTokenStoreFractionIn(t *testing.T) {
+func TestTokenStoreCountsIn(t *testing.T) {
 	s := NewTokenStore()
 	for i := 0; i < 10; i++ {
-		if i < 4 {
-			s.Append(CPU)
-		} else {
-			s.Append(GPU)
-		}
+		s.Append(GPU)
 	}
-	if f := s.FractionIn(CPU, 8); f != 0.5 {
-		t.Fatalf("FractionIn(CPU, 8) = %v, want 0.5", f)
+	if got := s.CountsIn(2, 9); got != [3]int{7, 0, 0} {
+		t.Fatalf("all-GPU CountsIn(2,9) = %v", got)
 	}
-	if f := s.FractionIn(CPU, 0); f != 0 {
-		t.Fatalf("FractionIn with empty prefix = %v", f)
+	s.Move(3, CPU)
+	s.Move(4, Deleted)
+	s.Move(7, CPU)
+	if got := s.CountsIn(0, 10); got != [3]int{7, 2, 1} {
+		t.Fatalf("CountsIn(0,10) = %v, want [7 2 1]", got)
 	}
-	if f := s.FractionIn(CPU, 100); f != 0.4 {
-		t.Fatalf("FractionIn clamps prefix: %v, want 0.4", f)
+	if got := s.CountsIn(4, 7); got != [3]int{2, 0, 1} {
+		t.Fatalf("CountsIn(4,7) = %v, want [2 0 1]", got)
+	}
+	if got := s.CountsIn(8, 10); got != [3]int{2, 0, 0} {
+		t.Fatalf("CountsIn(8,10) = %v, want [2 0 0]", got)
+	}
+	if got := s.CountsIn(5, 5); got != [3]int{} {
+		t.Fatalf("empty range CountsIn = %v", got)
+	}
+	for _, r := range [][2]int{{-1, 3}, {0, 11}, {6, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("CountsIn(%d,%d) should panic", r[0], r[1])
+				}
+			}()
+			s.CountsIn(r[0], r[1])
+		}()
 	}
 }
 

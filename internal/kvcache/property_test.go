@@ -50,43 +50,92 @@ func checkTokenStore(t *testing.T, s *TokenStore, tokenBytes int64) {
 	}
 }
 
+// checkQueries asserts the scheduler-facing queries against slow
+// recounts: CountsIn over the whole store and over a random window, and
+// Oldest/Newest at every location.
+func checkQueries(t *testing.T, s *TokenStore, rng *rand.Rand) {
+	t.Helper()
+	n := s.Len()
+	lo := rng.Intn(n + 1)
+	hi := lo + rng.Intn(n-lo+1)
+	for _, r := range [][2]int{{0, n}, {lo, hi}} {
+		var want [3]int
+		for i := r[0]; i < r[1]; i++ {
+			want[s.Loc(i)]++
+		}
+		if got := s.CountsIn(r[0], r[1]); got != want {
+			t.Fatalf("CountsIn(%d,%d) = %v, recount %v", r[0], r[1], got, want)
+		}
+	}
+	for _, loc := range allLocations {
+		oldest, newest := -1, -1
+		for i := 0; i < n; i++ {
+			if s.Loc(i) == loc {
+				if oldest < 0 {
+					oldest = i
+				}
+				newest = i
+			}
+		}
+		if got := s.Oldest(loc); got != oldest {
+			t.Fatalf("Oldest(%v) = %d, scan %d", loc, got, oldest)
+		}
+		if got := s.Newest(loc); got != newest {
+			t.Fatalf("Newest(%v) = %d, scan %d", loc, got, newest)
+		}
+	}
+}
+
+// applyOp performs one random store op: append, move in any direction
+// (back to GPU included), reset, or replacement by a clone.
+func applyOp(s *TokenStore, op, a, b uint8) *TokenStore {
+	switch {
+	case op < 128 || s.Len() == 0:
+		s.Append(allLocations[a%3])
+	case op < 240:
+		s.Move(int(a)*int(b)%s.Len(), allLocations[op%3])
+	case op < 248:
+		c := s.Clone()
+		// Mutating the original must not reach the clone.
+		s.Append(CPU)
+		s.Move(0, Deleted)
+		return c
+	default:
+		s.Reset()
+	}
+	return s
+}
+
 // TestTokenStoreProperties drives random op sequences — append, move,
-// reset — and checks the byte-accounting invariants after every op.
+// reset, clone — and checks the byte-accounting invariants and the
+// scheduler-facing queries after every op.
 func TestTokenStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewTokenStore()
 		tokenBytes := int64(1 + rng.Intn(1<<20))
 		for op := 0; op < 2000; op++ {
-			switch r := rng.Float64(); {
-			case r < 0.5 || s.Len() == 0:
-				s.Append(allLocations[rng.Intn(3)])
-			case r < 0.95:
-				s.Move(rng.Intn(s.Len()), allLocations[rng.Intn(3)])
-			default:
-				s.Reset()
-			}
+			s = applyOp(s, uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
 			checkTokenStore(t, s, tokenBytes)
-		}
-		// Oldest/newest enumeration agrees with the counters and with
-		// each other (reversed) at every location.
-		for _, loc := range allLocations {
-			oldest := s.OldestIn(loc, s.Len())
-			newest := s.NewestIn(loc, s.Len())
-			if len(oldest) != s.Count(loc) || len(newest) != s.Count(loc) {
-				t.Fatalf("seed %d: enumeration of %v returned %d/%d, count %d",
-					seed, loc, len(oldest), len(newest), s.Count(loc))
-			}
-			for i := range oldest {
-				if oldest[i] != newest[len(newest)-1-i] {
-					t.Fatalf("seed %d: oldest/newest disagree at %d", seed, i)
-				}
-				if s.Loc(oldest[i]) != loc {
-					t.Fatalf("seed %d: enumerated position %d not at %v", seed, oldest[i], loc)
-				}
-			}
+			checkQueries(t, s, rng)
 		}
 	}
+}
+
+// FuzzTokenStoreOps replays fuzzer-chosen op sequences (three bytes per
+// op) and checks the same invariants as TestTokenStoreProperties.
+func FuzzTokenStoreOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 1, 1, 250, 0, 0})
+	f.Add([]byte{10, 2, 0, 10, 1, 0, 130, 0, 1, 245, 0, 0, 131, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		rng := rand.New(rand.NewSource(int64(len(ops))))
+		s := NewTokenStore()
+		for i := 0; i+2 < len(ops); i += 3 {
+			s = applyOp(s, ops[i], ops[i+1], ops[i+2])
+			checkTokenStore(t, s, 64)
+			checkQueries(t, s, rng)
+		}
+	})
 }
 
 // TestBlockStoreProperties drives random append/swap sequences and checks

@@ -214,6 +214,16 @@ func (s *System) Advance(dt float64) {
 	s.clock += dt
 }
 
+// RaiseTo sets the clock to t when it is still below t and otherwise
+// leaves it alone. An idle jump Advance(t − Clock()) can round to one ulp
+// short of t; following it with RaiseTo(t) lands the clock exactly on t
+// without moving a clock that already reached it.
+func (s *System) RaiseTo(t float64) {
+	if s.clock < t {
+		s.clock = t
+	}
+}
+
 // AllocGPU reserves bytes of GPU memory, failing with *OOMError when the
 // capacity would be exceeded.
 func (s *System) AllocGPU(bytes int64) error {
@@ -299,3 +309,6 @@ func (s *System) TransferStats() (toCPU, toGPU int64, seconds float64) {
 
 // GPUHeadroom returns the free GPU bytes.
 func (s *System) GPUHeadroom() int64 { return s.Prof.GPUMemBytes - s.gpuUsed }
+
+// CPUHeadroom returns the free CPU bytes.
+func (s *System) CPUHeadroom() int64 { return s.Prof.CPUMemBytes - s.cpuUsed }

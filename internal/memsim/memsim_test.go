@@ -167,3 +167,25 @@ func TestTransferLinearityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRaiseToLandsIdleJumpOnArrival pins the idle-jump rounding case the
+// serving loop hit: from this clock, Advance(arrival − clock) lands one
+// ulp short of the arrival, and RaiseTo closes the gap without ever
+// moving a clock that is already at or past its target.
+func TestRaiseToLandsIdleJumpOnArrival(t *testing.T) {
+	const clock, arrival = 0.8067004313931091, 1.9351842595741953
+	s := NewSystem(V100_32G())
+	s.Advance(clock)
+	s.Advance(arrival - s.Clock())
+	if s.Clock() >= arrival {
+		t.Fatalf("Advance landed on %v, expected the one-ulp shortfall below %v", s.Clock(), arrival)
+	}
+	s.RaiseTo(arrival)
+	if s.Clock() != arrival {
+		t.Fatalf("RaiseTo left clock at %v, want %v", s.Clock(), arrival)
+	}
+	s.RaiseTo(1)
+	if s.Clock() != arrival {
+		t.Fatalf("RaiseTo below the clock moved it to %v", s.Clock())
+	}
+}

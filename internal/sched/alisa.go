@@ -109,8 +109,8 @@ func (a *Alisa) Init(ctx *Context) error {
 			if !a.Recompute {
 				return fmt.Errorf("alisa: prefill KV exceeds CPU memory: %w", errCPU)
 			}
-			old := a.store.OldestIn(kvcache.CPU, 1)
-			if len(old) == 0 {
+			old := a.store.Oldest(kvcache.CPU)
+			if old < 0 {
 				// Nothing deletable: cache this token as already deleted;
 				// it will be recomputed on demand.
 				a.store.Append(kvcache.Deleted)
@@ -118,7 +118,7 @@ func (a *Alisa) Init(ctx *Context) error {
 				break
 			}
 			ctx.Sys.FreeCPU(tokenBytes)
-			a.store.Move(old[0], kvcache.Deleted)
+			a.store.Move(old, kvcache.Deleted)
 			a.markPhase3(0)
 		}
 	}
@@ -131,7 +131,11 @@ func (a *Alisa) Init(ctx *Context) error {
 	return nil
 }
 
-// Step implements Scheduler for decode step j.
+// Step implements Scheduler for decode step j. It never scans the
+// prefix: the placement accounting counts only the local window and
+// takes the prefix shares from the store's running totals.
+//
+//alisa:hotpath
 func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	n := a.store.Len()
 	tokenBytes := ctx.TokenBytes()
@@ -152,16 +156,23 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 		global = 0
 	}
 
-	// Locally static tokens: exact placement check of the newest `local`
+	// Locally static tokens: exact placement count of the newest `local`
 	// positions. Oldest-first eviction keeps these GPU-resident except
 	// under extreme pressure.
-	fetched, recomputed := a.localMisses(n, local)
+	window := a.store.CountsIn(n-local, n)
+	fetched, recomputed := window[kvcache.CPU], window[kvcache.Deleted]
 
-	// Globally dynamic tokens: expected placement under the
-	// recency-biased selection model over the prefix.
+	// Globally dynamic tokens: the paper's heuristic keeps the locally
+	// static window on the GPU precisely because "global tokens are less
+	// predictable" (§VI-C) — the globally dynamic set drifts across the
+	// whole prefix — so selection is modelled as uniform over the prefix
+	// and the expected misses follow the prefix's exact placement shares.
+	// The prefix holds every position outside the window, so its counts
+	// are the store totals minus the window's.
 	prefix := n - local
 	if global > 0 && prefix > 0 {
-		_, cpuW, delW := a.weightedFractions(prefix)
+		cpuW := float64(a.store.Count(kvcache.CPU)-window[kvcache.CPU]) / float64(prefix)
+		delW := float64(a.store.Count(kvcache.Deleted)-window[kvcache.Deleted]) / float64(prefix)
 		fetched += int(math.Round(float64(global) * cpuW))
 		recomputed += int(math.Round(float64(global) * delW))
 	}
@@ -192,55 +203,45 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	return plan, nil
 }
 
-// localMisses counts, among the newest `local` cached positions, how many
-// must be fetched from CPU or recomputed.
-func (a *Alisa) localMisses(n, local int) (fetched, recomputed int) {
-	for pos := n - local; pos < n; pos++ {
-		switch a.store.Loc(pos) {
-		case kvcache.CPU:
-			fetched++
-		case kvcache.Deleted:
-			recomputed++
-		}
-	}
-	return fetched, recomputed
-}
-
 // ensureGPUSpace offloads GPU tokens to CPU until one more token fits,
 // deleting from CPU if CPU memory is itself exhausted. The default
 // oldest-first order is the paper's keep-local heuristic; the ablation
 // flag inverts it.
 func (a *Alisa) ensureGPUSpace(ctx *Context, tokenBytes int64, j int) (offloaded, deleted int, err error) {
 	for ctx.Sys.GPUHeadroom() < tokenBytes {
-		var victims []int
+		victim := a.store.Oldest(kvcache.GPU)
 		if a.EvictNewestFirst {
-			victims = a.store.NewestIn(kvcache.GPU, 1)
-		} else {
-			victims = a.store.OldestIn(kvcache.GPU, 1)
+			victim = a.store.Newest(kvcache.GPU)
 		}
-		if len(victims) == 0 {
+		if victim < 0 {
 			return offloaded, deleted, fmt.Errorf("alisa: GPU full with no evictable KV (token bytes %d, headroom %d)",
 				tokenBytes, ctx.Sys.GPUHeadroom())
 		}
-		if errCPU := ctx.Sys.AllocCPU(tokenBytes); errCPU != nil {
+		if ctx.Sys.CPUHeadroom() < tokenBytes {
 			// CPU full: delete the oldest CPU token to make room, which
-			// is only sound when recomputation is available.
+			// is only sound when recomputation is available. Checking
+			// headroom instead of failing an allocation keeps the steady
+			// state free of OOM errors; on the exits, the refused
+			// AllocCPU supplies the detail.
 			if !a.Recompute {
-				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted and recomputation disabled: %w", errCPU)
+				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted and recomputation disabled: %w", ctx.Sys.AllocCPU(tokenBytes))
 			}
-			old := a.store.OldestIn(kvcache.CPU, 1)
-			if len(old) == 0 {
-				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted with nothing deletable: %w", errCPU)
+			old := a.store.Oldest(kvcache.CPU)
+			if old < 0 {
+				return offloaded, deleted, fmt.Errorf("alisa: CPU memory exhausted with nothing deletable: %w", ctx.Sys.AllocCPU(tokenBytes))
 			}
 			ctx.Sys.FreeCPU(tokenBytes)
-			a.store.Move(old[0], kvcache.Deleted)
+			a.store.Move(old, kvcache.Deleted)
 			deleted++
 			a.markPhase3(j)
 			continue
 		}
+		if err := ctx.Sys.AllocCPU(tokenBytes); err != nil {
+			return offloaded, deleted, fmt.Errorf("alisa: offload: %w", err)
+		}
 		ctx.ChargeToCPU(tokenBytes)
 		ctx.Sys.FreeGPU(tokenBytes)
-		a.store.Move(victims[0], kvcache.CPU)
+		a.store.Move(victim, kvcache.CPU)
 		offloaded++
 		a.markPhase2(j)
 	}
@@ -258,9 +259,9 @@ func (a *Alisa) enforceDeletionShare(ctx *Context, tokenBytes int64, j int) int 
 		if cpu == 0 || float64(del) >= a.Beta*float64(del+cpu) {
 			return deleted
 		}
-		victim := a.store.OldestIn(kvcache.CPU, 1)
+		victim := a.store.Oldest(kvcache.CPU)
 		ctx.Sys.FreeCPU(tokenBytes)
-		a.store.Move(victim[0], kvcache.Deleted)
+		a.store.Move(victim, kvcache.Deleted)
 		deleted++
 		a.markPhase3(j)
 	}
@@ -308,26 +309,6 @@ func (a *Alisa) Phase(j int) int {
 // phase never occurred).
 func (a *Alisa) PhaseStarts() (p2Start, p3Start int) {
 	return a.phase2Start, a.phase3Start
-}
-
-// weightedFractions returns the probability that a globally-selected token
-// lies on each device. The paper's heuristic keeps the locally static
-// window on the GPU precisely because "global tokens are less predictable"
-// (§VI-C) — the globally dynamic set drifts across the whole prefix — so
-// selection is modelled as uniform over the prefix and the fractions are
-// the exact placement shares under the store's current layout.
-func (a *Alisa) weightedFractions(prefix int) (gpuW, cpuW, delW float64) {
-	if prefix <= 0 {
-		return 0, 0, 0
-	}
-	var counts [3]int
-	for i := 0; i < prefix; i++ {
-		counts[a.store.Loc(i)]++
-	}
-	total := float64(prefix)
-	return float64(counts[kvcache.GPU]) / total,
-		float64(counts[kvcache.CPU]) / total,
-		float64(counts[kvcache.Deleted]) / total
 }
 
 // interface checks

@@ -747,24 +747,39 @@ func (s *server) turn(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, s.cancel(err)
 	}
-	// Idle with work only in the future: jump to the next arrival.
+	// Idle with work only in the future: jump to the next arrival. The
+	// subtraction can round the sum one ulp short of the arrival, so the
+	// clock is then raised onto it — the head must count as arrived.
 	if len(s.active) == 0 && s.queue.Peek().Arrival > s.sys.Clock() {
-		s.sys.Advance(s.queue.Peek().Arrival - s.sys.Clock())
+		arrival := s.queue.Peek().Arrival
+		s.sys.Advance(arrival - s.sys.Clock())
+		s.sys.RaiseTo(arrival)
 		s.admissionBlockedHeadroom = -1
 	}
 	if err := s.admit(); err != nil {
 		return false, err
 	}
 	if len(s.active) == 0 {
-		// Admission failed on an empty system: the head request can
-		// never run.
-		return false, fmt.Errorf("serve: request %d unservable: prompt KV cannot be placed on an empty system: %w",
-			s.queue.Peek().ID, s.lastAdmitErr)
+		return false, s.unservable()
 	}
 	if err := s.iterate(); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// unservable diagnoses an admission pass that left an empty system
+// empty. With a placement error the head request can never run; without
+// one, admission skipped an arrived head for no reason, which is a bug in
+// the loop rather than a property of the request.
+func (s *server) unservable() error {
+	head := s.queue.Peek()
+	if s.lastAdmitErr == nil {
+		return fmt.Errorf("serve: internal error: admission into an empty system at clock %v took nothing and reported no cause (head request %d, arrival %v)",
+			s.sys.Clock(), head.ID, head.Arrival)
+	}
+	return fmt.Errorf("serve: request %d unservable: prompt KV cannot be placed on an empty system: %w",
+		head.ID, s.lastAdmitErr)
 }
 
 // cancel tears a cancelled run down: every active sequence's KV is
