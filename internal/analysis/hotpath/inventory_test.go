@@ -14,13 +14,17 @@ import (
 // wantAnnotated is the agreed hot-path set: the serving loop's
 // admission/decode path, the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
-// insert/evict machinery, the gateway's per-event fan-out, and ALISA's
+// insert/evict machinery, the gateway's per-event fan-out, ALISA's
 // per-step token placement (Alisa.Step and the TokenStore queries it
-// makes). The test fails in BOTH directions — a lost
+// makes), and the decode-cost table lookups behind every iteration's
+// compute charge. The test fails in BOTH directions — a lost
 // annotation shrinks coverage silently, and a new annotation is a
 // contract change that belongs in this list (and in DESIGN.md §12).
 var wantAnnotated = []string{
 	"internal/cluster.(*Cluster).advance",
+	"internal/costmodel.(*DecodeTable).LayerTime",
+	"internal/costmodel.(*DecodeTable).Ragged",
+	"internal/costmodel.(*DecodeTable).entry",
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/gateway.(bridgeTap).OnToken",

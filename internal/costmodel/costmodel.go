@@ -261,6 +261,18 @@ func (c *Cost) FFNTime(batch, hidden, ffn int, gated bool) Sample {
 // DecodeLayerTime returns the MHA and FFN times for one decode step of one
 // layer at the given attended-token count.
 func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, swa bool) (mha, ffn float64) {
+	mha, _ = c.decodeAttention(&cfg, batch, attended, kvBytes, swa)
+	if swa {
+		mha += sparseBookkeeping
+	}
+	f := c.FFNTime(batch, cfg.Hidden, cfg.FFN, cfg.GatedFFN)
+	return mha, f.Seconds
+}
+
+// decodeAttention costs the attention module of one decode step: its
+// total time and the weight-projection share of it. It is the one
+// formula behind both DecodeLayerTime and the DecodeTable entries.
+func (c *Cost) decodeAttention(cfg *model.Config, batch, attended, kvBytes int, swa bool) (total, proj float64) {
 	ac := AttnConfig{
 		Batch:    batch,
 		Hidden:   cfg.Hidden,
@@ -272,15 +284,66 @@ func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, s
 		ac.LocalWindow = attended / 2
 	}
 	br := c.Attention(ac)
-	f := c.FFNTime(batch, cfg.Hidden, cfg.FFN, cfg.GatedFFN)
-	mha = br.Total()
-	if swa {
-		mha += sparseBookkeeping
-	}
-	return mha, f.Seconds
+	return br.Total(), br.QProj.Seconds
 }
 
 // RaggedDecodeTime returns the model-wide MHA and FFN times of one fused
+// continuous-batching decode iteration over a dynamic batch whose
+// sequences attend to heterogeneous token counts; see
+// DecodeTable.Ragged, which it evaluates without memoising anything.
+func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, swa bool) (mha, ffn float64) {
+	t := DecodeTable{cost: *c, cfg: cfg, kvBytes: kvBytes, direct: true}
+	return t.Ragged(attended, swa)
+}
+
+// DecodeTable is a lazily filled profiling table of batch-1 decode
+// charges, bound to one cost model, model and KV compute width — the
+// stand-in for the per-step cost tables ALISA's optimizer (§V-A) and a
+// serving engine consult instead of re-deriving every charge. Entry sel
+// caches what the roofline formulas give for a sequence attending to sel
+// tokens, computed once by the same code the uncached calls run, so a
+// lookup returns the bit-identical float.
+//
+// A table is not safe for concurrent use: lookups fill and grow it. A
+// serving run owns one; a forked run builds its own.
+type DecodeTable struct {
+	cost    Cost
+	cfg     model.Config
+	kvBytes int
+	// direct disables memoisation: every entry is recomputed. It backs
+	// the uncached Cost.RaggedDecodeTime.
+	direct bool
+
+	// entries[swa][sel] is the attention charge of one sequence
+	// attending to sel tokens; a zero mha marks an unfilled slot (every
+	// filled charge carries at least one launch latency).
+	entries [2][]decodeEntry
+	// ffn[b] is the batch-b FFN block time, 0 until first use.
+	ffn []float64
+}
+
+// decodeEntry is one attended length's batch-1 attention charge.
+type decodeEntry struct {
+	mha    float64 // DecodeLayerTime's mha at batch 1
+	ragged float64 // Attention total less QProj: the per-sequence ragged term
+}
+
+// NewDecodeTable returns an empty table over the cost model, model and
+// KV compute element width. Nothing is computed until the first lookup.
+func NewDecodeTable(c *Cost, cfg model.Config, kvBytes int) *DecodeTable {
+	return &DecodeTable{cost: *c, cfg: cfg, kvBytes: kvBytes}
+}
+
+// LayerTime returns DecodeLayerTime(cfg, 1, sel, kvBytes, swa) of the
+// table's binding: the per-layer MHA and FFN times of one sequence's
+// decode step.
+//
+//alisa:hotpath
+func (t *DecodeTable) LayerTime(sel int, swa bool) (mha, ffn float64) {
+	return t.entry(sel, swa).mha, t.ffnAt(1)
+}
+
+// Ragged returns the model-wide MHA and FFN times of one fused
 // continuous-batching decode iteration over a dynamic batch whose
 // sequences attend to heterogeneous token counts. Projections and the FFN
 // run as single batch-wide GEMMs (one row per sequence); the attention
@@ -289,40 +352,88 @@ func (c *Cost) DecodeLayerTime(cfg model.Config, batch, attended, kvBytes int, s
 // per-kernel launch latency. For a single sequence this reduces exactly
 // to DecodeLayerTime at batch 1 summed over layers, keeping the serving
 // loop's charges consistent with the lockstep engine's.
-func (c *Cost) RaggedDecodeTime(cfg model.Config, attended []int, kvBytes int, swa bool) (mha, ffn float64) {
+//
+//alisa:hotpath
+func (t *DecodeTable) Ragged(attended []int, swa bool) (mha, ffn float64) {
 	b := len(attended)
 	if b == 0 {
 		return 0, 0
 	}
-	h := int64(cfg.Hidden)
-	proj := c.GEMM(int64(b), h, 4*h, 2)
-	mhaLayer := proj.Seconds
-
+	h := int64(t.cfg.Hidden)
+	mhaLayer := t.cost.GEMM(int64(b), h, 4*h, 2).Seconds
 	kernels := 3.0 // QKT, softmax, AV
 	if swa {
 		kernels = 5 // + local sum, gather
 	}
 	for _, sel := range attended {
-		ac := AttnConfig{
-			Batch:    1,
-			Hidden:   cfg.Hidden,
-			Heads:    cfg.Heads,
-			Attended: sel,
-			BytesKV:  kvBytes,
-		}
-		if swa {
-			ac.LocalWindow = sel / 2
-		}
-		br := c.Attention(ac)
-		mhaLayer += br.Total() - br.QProj.Seconds // projection fused above
+		mhaLayer += t.entry(sel, swa).ragged // projection fused above
 	}
 	mhaLayer -= float64(b-1) * kernels * launchLatency
 	if swa {
 		mhaLayer += sparseBookkeeping
 	}
-	layers := float64(cfg.Layers)
-	ffnLayer := c.FFNTime(b, cfg.Hidden, cfg.FFN, cfg.GatedFFN)
-	return mhaLayer * layers, ffnLayer.Seconds * layers
+	layers := float64(t.cfg.Layers)
+	return mhaLayer * layers, t.ffnAt(b) * layers
+}
+
+// entry returns the charge of one sequence attending to sel tokens.
+//
+//alisa:hotpath
+func (t *DecodeTable) entry(sel int, swa bool) decodeEntry {
+	tab := t.entries[b2i(swa)]
+	if sel >= 0 && sel < len(tab) && tab[sel].mha != 0 {
+		return tab[sel]
+	}
+	return t.fill(sel, swa)
+}
+
+// fill computes entry (sel, swa) and, unless the table is direct, stores
+// it, growing the row geometrically so growth stays a warm-up cost.
+func (t *DecodeTable) fill(sel int, swa bool) decodeEntry {
+	total, proj := t.cost.decodeAttention(&t.cfg, 1, sel, t.kvBytes, swa)
+	e := decodeEntry{mha: total, ragged: total - proj}
+	if swa {
+		e.mha += sparseBookkeeping
+	}
+	if t.direct || sel < 0 {
+		return e
+	}
+	row := &t.entries[b2i(swa)]
+	*row = grow(*row, sel)
+	(*row)[sel] = e
+	return e
+}
+
+// ffnAt returns the batch-b FFN block time.
+func (t *DecodeTable) ffnAt(b int) float64 {
+	if b < len(t.ffn) && t.ffn[b] != 0 {
+		return t.ffn[b]
+	}
+	v := t.cost.FFNTime(b, t.cfg.Hidden, t.cfg.FFN, t.cfg.GatedFFN).Seconds
+	if !t.direct {
+		t.ffn = grow(t.ffn, b)
+		t.ffn[b] = v
+	}
+	return v
+}
+
+// grow returns s extended with zero values so index i is in range,
+// doubling capacity so repeated growth stays amortised.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	n := max(i+1, 2*len(s), 64)
+	out := make([]T, n)
+	copy(out, s)
+	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // PrefillTime returns the time to prefill a batch of prompts of length s:

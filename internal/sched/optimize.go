@@ -20,7 +20,12 @@ type Params struct {
 // StepComputeSeconds returns the model-wide compute time (MHA + FFN over
 // all layers) of one decode step attending to `attended` tokens.
 func StepComputeSeconds(ctx *Context, attended int, sparse bool) (mha, ffn float64) {
-	m, f := ctx.Cost.DecodeLayerTime(ctx.Model, ctx.Batch, attended, ctx.kvComputeWidth(), sparse)
+	var m, f float64
+	if ctx.Decode != nil {
+		m, f = ctx.Decode.LayerTime(attended, sparse)
+	} else {
+		m, f = ctx.Cost.DecodeLayerTime(ctx.Model, ctx.Batch, attended, ctx.kvComputeWidth(), sparse)
+	}
 	layers := float64(ctx.Model.Layers)
 	return m * layers, f * layers
 }
@@ -103,6 +108,10 @@ func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
 	del := 0
 	tokenBytes := float64(ctx.TokenBytes())
 	pcie := ctx.Sys.Prof.PCIeBandwidth
+	quant := 0.0
+	if ctx.KVBits < 16 {
+		quant = QuantSeconds(ctx, 1)
+	}
 
 	for j := 0; j < ctx.Output; j++ {
 		n := ctx.Input + j
@@ -117,7 +126,10 @@ func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
 		mha, ffn := StepComputeSeconds(ctx, attended, ctx.CachingRatio < 1)
 		total += mha + ffn
 
-		if global > 0 && prefix > 0 {
+		// With nothing off the GPU both fractions are zero, and the
+		// skipped additions would add exactly +0 (memsim rejects a
+		// non-positive PCIe bandwidth), so the total is unchanged.
+		if global > 0 && prefix > 0 && (cpu > 0 || del > 0) {
 			_, cpuW, delW := layoutFractions(prefix, del, cpu)
 			fetched := math.Round(float64(global) * cpuW)
 			recomp := math.Round(float64(global) * delW)
@@ -125,7 +137,7 @@ func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
 			total += RecomputeSeconds(ctx, int(recomp))
 		}
 		if ctx.KVBits < 16 {
-			total += QuantSeconds(ctx, 1)
+			total += quant
 		}
 
 		// Placement recurrence: the new token lands on GPU; overflow

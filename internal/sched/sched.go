@@ -43,6 +43,13 @@ type Context struct {
 
 	// Breakdown receives transfer-time charges made by schedulers.
 	Breakdown *trace.Breakdown
+
+	// Decode, when set, is a decode-cost table bound to Cost, Model and
+	// the context's KV compute width, shared by every context of one
+	// serving run; StepComputeSeconds reads it instead of re-deriving
+	// each charge. It is batch-1, so only Batch == 1 contexts may carry
+	// one. Nil means direct computation, bit-identical by construction.
+	Decode *costmodel.DecodeTable
 }
 
 // TokenBytes returns the KV bytes of one token position across the batch

@@ -77,7 +77,9 @@ func (l *Loop) Fork(obs events.Observer) (*Loop, error) {
 // clone deep-copies the server so the copy can advance independently:
 // simulated system, wait queue, records, digest state, per-sequence
 // scheduler state, and the result-in-progress are all duplicated; the
-// factory and cost model are shared (stateless). obs becomes the copy's
+// factory and cost model are shared (stateless), and the copy starts an
+// empty decode-cost table of its own, since the original's keeps
+// filling as it advances. obs becomes the copy's
 // observer. Scratch (plans, attended, pools) starts empty — it is
 // rebuilt on demand and never observable.
 func (s *server) clone(obs events.Observer) (*server, error) {
@@ -110,6 +112,7 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 		},
 	}
 	c.cfg.Observer = obs
+	c.decode = c.newDecodeTable()
 	if s.dig != nil {
 		c.dig = s.dig.clone()
 	}
@@ -154,6 +157,7 @@ func (s *server) clone(obs events.Observer) (*server, error) {
 		*ctx = *st.ctx
 		ctx.Sys = c.sys
 		ctx.Breakdown = c.res.Breakdown
+		ctx.Decode = c.decode
 		c.active = append(c.active, &seqState{
 			req:      st.req,
 			sch:      sch,

@@ -15,7 +15,7 @@
 //   - Decode iterations: every active request plans one step through its
 //     scheduler (transfers charged to the shared clock/PCIe link), then
 //     the whole ragged batch is charged as one fused iteration through
-//     costmodel.RaggedDecodeTime.
+//     the run's costmodel.DecodeTable.
 //   - Preemption: when a request cannot allocate (GPU pressure from new
 //     admissions), the youngest-admitted sequence is preempted — its KV
 //     is released in full and the request restarts from its prompt on
@@ -355,6 +355,11 @@ type server struct {
 	sys        *memsim.System
 	cost       costmodel.Cost
 	newSched   sched.Factory // per-admission scheduler constructor
+	// decode is the run's decode-cost table: the ragged iteration charge
+	// and every admitted ALISA sequence's optimizer read it. It fills
+	// lazily, so it is owned by this server alone; a clone builds its
+	// own rather than share a table another goroutine may grow.
+	decode *costmodel.DecodeTable
 
 	// queue is the arrival-keyed indexed wait queue: a binary min-heap on
 	// (Arrival, ticket) that frees each slot on pop. Preemption requeues
@@ -537,6 +542,7 @@ func newLoop(cfg Config) (*Loop, error) {
 		},
 	}
 	s := &l.s
+	s.decode = s.newDecodeTable()
 	s.queue.seed(cfg.Trace)
 	for _, r := range cfg.Trace {
 		s.addRecord(r)
@@ -860,6 +866,17 @@ func (s *server) admit() error {
 	return nil
 }
 
+// newDecodeTable returns an empty decode-cost table bound to the run's
+// cost model, model and KV compute width (sub-byte storage still reads
+// byte-aligned words).
+func (s *server) newDecodeTable() *costmodel.DecodeTable {
+	kvWidth := 2
+	if s.cfg.KVBits < 16 {
+		kvWidth = 1
+	}
+	return costmodel.NewDecodeTable(&s.cost, s.cfg.Model, kvWidth)
+}
+
 // getSeq takes a recycled seqState (with its Context) from the pool, or
 // allocates the pool's newest member.
 func (s *server) getSeq() *seqState {
@@ -907,6 +924,7 @@ func (s *server) tryAdmit(req workload.Request, seq uint64) (bool, error) {
 		CachingRatio: 1 - s.cfg.KVSparsity,
 		KVBits:       s.cfg.KVBits,
 		Breakdown:    s.res.Breakdown,
+		Decode:       s.decode,
 	}
 
 	cached := 0
@@ -1046,11 +1064,7 @@ func (s *server) iterate() error {
 		sparse = sparse || p.plan.Sparse
 	}
 	if len(attended) > 0 {
-		kvWidth := 2
-		if s.cfg.KVBits < 16 {
-			kvWidth = 1
-		}
-		mha, ffn := s.cost.RaggedDecodeTime(s.cfg.Model, attended, kvWidth, sparse)
+		mha, ffn := s.decode.Ragged(attended, sparse)
 		s.sys.Advance(mha + ffn)
 		s.res.Breakdown.Add(trace.CatMHA, mha)
 		s.res.Breakdown.Add(trace.CatFFN, ffn)

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -25,28 +24,59 @@ const (
 	CatOther       Category = "other"
 )
 
-// Breakdown accumulates seconds by category.
+// categories lists every Category in sorted order; a Breakdown's slot i
+// holds categories[i], so walking the slots is walking the categories
+// in the order String and Categories report them.
+var categories = [...]Category{
+	CatFFN, CatFullForward, CatMHA, CatOther, CatPrefill, CatQuant, CatRecompute, CatTransfer,
+}
+
+// slot returns the category's index in categories, or -1 for a string
+// outside the closed set.
+func (c Category) slot() int {
+	for i, k := range categories {
+		if k == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// Breakdown accumulates seconds by category in one fixed slot per
+// category, so charging is an indexed add and every sum runs in the same
+// category order.
 type Breakdown struct {
-	seconds map[Category]float64
+	seconds [len(categories)]float64
 }
 
 // NewBreakdown returns an empty breakdown.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{seconds: make(map[Category]float64)}
+	return &Breakdown{}
 }
 
-// Add charges dt seconds to the category; negative charges panic.
+// Add charges dt seconds to the category; negative charges and
+// categories outside the closed set panic.
 func (b *Breakdown) Add(cat Category, dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("trace: negative charge %v to %s", dt, cat))
 	}
-	b.seconds[cat] += dt
+	i := cat.slot()
+	if i < 0 {
+		panic(fmt.Sprintf("trace: unknown category %q", cat))
+	}
+	b.seconds[i] += dt
 }
 
-// Get returns the seconds charged to cat.
-func (b *Breakdown) Get(cat Category) float64 { return b.seconds[cat] }
+// Get returns the seconds charged to cat; 0 for an unknown category.
+func (b *Breakdown) Get(cat Category) float64 {
+	if i := cat.slot(); i >= 0 {
+		return b.seconds[i]
+	}
+	return 0
+}
 
-// Total returns the sum across categories.
+// Total returns the sum across categories, added in sorted category
+// order so the result is the same on every run.
 func (b *Breakdown) Total() float64 {
 	var t float64
 	for _, v := range b.seconds {
@@ -57,38 +87,35 @@ func (b *Breakdown) Total() float64 {
 
 // Merge adds every category of o into b.
 func (b *Breakdown) Merge(o *Breakdown) {
-	for c, v := range o.seconds {
-		b.seconds[c] += v
+	for i, v := range o.seconds {
+		b.seconds[i] += v
 	}
 }
 
 // Clone returns an independent copy of the breakdown.
 func (b *Breakdown) Clone() *Breakdown {
-	c := NewBreakdown()
-	for cat, v := range b.seconds {
-		c.seconds[cat] = v
-	}
-	return c
+	c := *b
+	return &c
 }
 
 // Categories returns the non-zero categories in stable (sorted) order.
 func (b *Breakdown) Categories() []Category {
-	cats := make([]Category, 0, len(b.seconds))
-	for c, v := range b.seconds {
+	cats := make([]Category, 0, len(categories))
+	for i, v := range b.seconds {
 		if v > 0 {
-			cats = append(cats, c)
+			cats = append(cats, categories[i])
 		}
 	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	return cats
 }
 
 // String formats the breakdown as "cat=1.234s" pairs in sorted order.
 func (b *Breakdown) String() string {
-	cats := b.Categories()
-	parts := make([]string, 0, len(cats))
-	for _, c := range cats {
-		parts = append(parts, fmt.Sprintf("%s=%.3fs", c, b.seconds[c]))
+	parts := make([]string, 0, len(categories))
+	for i, v := range b.seconds {
+		if v > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%.3fs", categories[i], v))
+		}
 	}
 	return strings.Join(parts, " ")
 }

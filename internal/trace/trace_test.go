@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,4 +110,95 @@ func TestTotalConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mapBreakdown is the map-backed Breakdown the fixed-slot one replaced,
+// kept as the reference for its String and Categories output.
+type mapBreakdown map[Category]float64
+
+func (m mapBreakdown) categories() []Category {
+	var cats []Category
+	for c, v := range m {
+		if v > 0 {
+			cats = append(cats, c)
+		}
+	}
+	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
+	return cats
+}
+
+func (m mapBreakdown) String() string {
+	var parts []string
+	for _, c := range m.categories() {
+		parts = append(parts, fmt.Sprintf("%s=%.3fs", c, m[c]))
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestBreakdownMatchesMapReference drives random charges (zero charges
+// included) through a Breakdown and the map-backed reference, then
+// checks Get, String, Categories, Merge and Clone agree byte for byte,
+// and that Total is the sum in sorted category order.
+func TestBreakdownMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		b, ref := NewBreakdown(), mapBreakdown{}
+		o, oref := NewBreakdown(), mapBreakdown{}
+		for i := rng.Intn(40); i > 0; i-- {
+			c := categories[rng.Intn(len(categories))]
+			dt := rng.ExpFloat64()
+			if rng.Intn(4) == 0 {
+				dt = 0
+			}
+			if rng.Intn(2) == 0 {
+				b.Add(c, dt)
+				ref[c] += dt
+			} else {
+				o.Add(c, dt)
+				oref[c] += dt
+			}
+		}
+		clone := b.Clone()
+		b.Merge(o)
+		for c, v := range oref {
+			ref[c] += v
+		}
+		for _, c := range categories {
+			if b.Get(c) != ref[c] {
+				t.Fatalf("trial %d: Get(%s) = %v, want %v", trial, c, b.Get(c), ref[c])
+			}
+		}
+		if got, want := b.String(), ref.String(); got != want {
+			t.Fatalf("trial %d: String %q, want %q", trial, got, want)
+		}
+		if got, want := b.Categories(), ref.categories(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("trial %d: Categories %v, want %v", trial, got, want)
+		}
+		var sum float64
+		for _, c := range ref.categories() {
+			sum += ref[c]
+		}
+		if b.Total() != sum {
+			t.Fatalf("trial %d: Total %v, want sorted-order sum %v", trial, b.Total(), sum)
+		}
+		// The clone was taken before the merge and must not see it.
+		for _, c := range categories {
+			if clone.Get(c) == b.Get(c) && oref[c] > 0 {
+				t.Fatalf("trial %d: clone shares state with the original (%s)", trial, c)
+			}
+		}
+	}
+}
+
+func TestBreakdownUnknownCategory(t *testing.T) {
+	b := NewBreakdown()
+	if b.Get("bogus") != 0 {
+		t.Fatal("unknown category should read zero")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("charging an unknown category should panic")
+		}
+	}()
+	b.Add("bogus", 1)
 }

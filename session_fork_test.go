@@ -3,6 +3,7 @@ package alisa
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -85,6 +86,92 @@ func TestSessionFork(t *testing.T) {
 
 	if _, err := s.Fork(); err == nil {
 		t.Fatal("fork of a closed session succeeded")
+	}
+}
+
+// TestSessionForkConcurrentAdvance pins the fork-ownership rule of the
+// serving loop's lazily filled decode-cost table: a scale-mode session
+// forked mid-run, with parent and fork then driven concurrently through
+// requests long enough to grow the table past anything the shared
+// prefix filled, must reproduce each one's straight-line run bit for
+// bit. Under -race it also proves the two never share a table.
+func TestSessionForkConcurrentAdvance(t *testing.T) {
+	ctx := context.Background()
+	eng, err := New("opt-6.7b", sessionEngineOpts("alisa", WithExactMetrics(-1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewUniformTrace(6, 0.05, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const turns = 4
+	// prefix pushes the shared history and advances to the fork point.
+	prefix := func() (*Session, float64) {
+		s, err := eng.Open(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range base {
+			if err := s.Push(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < turns; i++ {
+			if _, err := s.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, s.Clock()
+	}
+	futures := [2][]Request{
+		{{ID: 100, Input: 1800, Output: 200}, {ID: 101, Input: 900, Output: 120}},
+		{{ID: 200, Input: 1500, Output: 240}, {ID: 201, Input: 1200, Output: 60}},
+	}
+	finish := func(s *Session, at float64, future []Request) (*ServeResult, error) {
+		for _, r := range future {
+			r.Arrival = at
+			if err := s.Push(r); err != nil {
+				return nil, err
+			}
+		}
+		return s.Close()
+	}
+
+	var straight [2]*ServeResult
+	for i, future := range futures {
+		s, at := prefix()
+		if straight[i], err = finish(s, at, future); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	parent, at := prefix()
+	if parent.InFlight() == 0 {
+		t.Fatal("fork point has no in-flight sequences; nothing exercised")
+	}
+	fork, err := parent.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]*ServeResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, s := range []*Session{parent, fork} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = finish(s, at, futures[i])
+		}()
+	}
+	wg.Wait()
+	for i, name := range []string{"parent", "fork"} {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], straight[i]) {
+			t.Errorf("%s advanced concurrently diverged from its straight-line run:\n got:      %+v\n straight: %+v", name, got[i], straight[i])
+		}
 	}
 }
 
