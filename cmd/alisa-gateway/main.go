@@ -98,7 +98,7 @@ func main() {
 		"model", eng.Model(), "profile", eng.Profile(), "sched", eng.Scheduler(),
 		"time_scale", *timeScale, "on_full", policy.String(), "buffer", *buffer, "hold", *hold)
 
-	srv := &http.Server{Handler: gw}
+	srv := newServer(gw)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -135,6 +135,17 @@ func main() {
 		logger.Error("gateway: http shutdown", "err", err)
 	}
 	logger.Info("gateway: stopped")
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that never finishes them is closed
+// instead of held forever. Streams themselves are unbounded: an SSE
+// response may legitimately last as long as its simulated request.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer wraps the gateway handler in the HTTP server main runs.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // engineOpts assembles the engine options shared with the other CLIs.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -42,4 +43,13 @@ func TestValidateFlags(t *testing.T) {
 	t.Run("negative buffer", bad("127.0.0.1:8080", 1, -4, "drop", time.Second, "-buffer must be positive"))
 	t.Run("unknown on-full", bad("127.0.0.1:8080", 1, 64, "oldest", time.Second, `unknown -on-full "oldest"`))
 	t.Run("zero drain timeout", bad("127.0.0.1:8080", 1, 64, "drop", 0, "-drain-timeout must be positive"))
+}
+
+// TestNewServerReadHeaderTimeout: a client that never finishes its
+// headers must not hold a connection forever.
+func TestNewServerReadHeaderTimeout(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
 }

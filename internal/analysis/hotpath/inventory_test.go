@@ -14,7 +14,8 @@ import (
 // wantAnnotated is the agreed hot-path set: the serving loop's
 // admission/decode path, the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
-// insert/evict machinery, the gateway's per-event fan-out, ALISA's
+// insert/evict machinery, the gateway's per-event fan-out and SSE
+// encoder, ALISA's
 // per-step token placement (Alisa.Step and the TokenStore queries it
 // makes), and the decode-cost table lookups behind every iteration's
 // compute charge. The test fails in BOTH directions — a lost
@@ -28,6 +29,7 @@ var wantAnnotated = []string{
 	"internal/gateway.(*Bridge).fanout",
 	"internal/gateway.(*Subscriber).publish",
 	"internal/gateway.(bridgeTap).OnToken",
+	"internal/gateway.appendSSE",
 	"internal/kvcache.(*TokenStore).CountsIn",
 	"internal/kvcache.(*TokenStore).Newest",
 	"internal/kvcache.(*TokenStore).Oldest",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,7 +347,7 @@ func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
 	req := b.nextID
 	id := spec.ID
 	if id == "" {
-		id = fmt.Sprintf("req-%d", req)
+		id = "req-" + strconv.Itoa(req)
 	}
 	arrival := spec.Arrival
 	if !spec.HasArrival {
@@ -360,8 +361,10 @@ func (b *Bridge) submit(spec SubmitSpec) (*Subscriber, error) {
 	b.mu.Lock()
 	b.subs[req] = sub
 	b.mu.Unlock()
-	b.log.Info("gateway: accepted", "id", id, "request", req,
-		"input", spec.Input, "output", spec.Output, "arrival", arrival)
+	if b.log.Enabled(context.Background(), slog.LevelInfo) {
+		b.log.Info("gateway: accepted", "id", id, "request", req,
+			"input", spec.Input, "output", spec.Output, "arrival", arrival)
+	}
 	return sub, nil
 }
 
@@ -484,8 +487,12 @@ func (b *Bridge) fanout(ev Event) {
 }
 
 // logCompletion emits the per-request correlation log line, looked up
-// before fanout retires the subscriber.
+// before fanout retires the subscriber. With Info disabled it skips the
+// lookup and the argument boxing altogether.
 func (b *Bridge) logCompletion(e alisa.CompletionEvent) {
+	if !b.log.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
 	b.mu.Lock()
 	sub := b.subs[e.Request]
 	b.mu.Unlock()

@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"errors"
-	"io"
 	"log/slog"
 	"testing"
 	"time"
@@ -25,7 +24,7 @@ func testEngine(t *testing.T) *alisa.Engine {
 }
 
 func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return slog.New(slog.DiscardHandler)
 }
 
 func testBridge(t *testing.T, scale float64, buffer int, policy OverflowPolicy, hold bool) *Bridge {

@@ -43,7 +43,7 @@ func (k Kind) Terminal() bool { return k == KindCompletion || k == KindError }
 // union over the kinds — only the fields a kind documents are
 // meaningful — so the subscriber ring stores events by value with no
 // per-event allocation. The SSE encoder projects it onto per-kind wire
-// payloads; see encodeSSE.
+// payloads; see appendSSE.
 type Event struct {
 	Kind    Kind
 	ID      string  // gateway correlation ID, threaded through logs

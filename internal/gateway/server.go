@@ -78,7 +78,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		log = slog.New(slog.DiscardHandler)
 	}
 	bridge, err := newBridge(cfg.Engine, cfg.TimeScale, buffer, cfg.OnFull, cfg.Hold, log)
 	if err != nil {
@@ -229,7 +229,13 @@ func (g *Gateway) parseCompletion(r *http.Request) (SubmitSpec, bool, error) {
 }
 
 // streamCompletion writes the request's lifecycle as SSE until its
-// terminal event (or the client goes away).
+// terminal event (or the client goes away). Every ready event is
+// appended to the stream's scratch buffer, and the buffer is
+// written and flushed only before the handler waits — for an empty ring
+// or for a paced event's deadline — and after the terminal [DONE]. The
+// headers go out with the first flush, so a held or idle stream still
+// sees its 200 at once, while a stream whose events are all ready costs
+// one write.
 func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *Subscriber) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -237,37 +243,54 @@ func (g *Gateway) streamCompletion(w http.ResponseWriter, r *http.Request, sub *
 	h.Set("X-Request-Id", sub.ID())
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for {
-		ev, dropped, ok := sub.Next(r.Context())
-		if !ok {
-			return // client disconnected; deferred Close unhooks the fan-out
-		}
-		if !holdUntil(r.Context(), ev.At) {
-			return
-		}
-		if dropped > 0 {
-			if writeDropMarker(w, sub.ID(), sub.Request(), dropped) != nil {
-				return
+	buf := make([]byte, 0, sseScratch)
+	send := func() bool {
+		if len(buf) > 0 {
+			if _, err := w.Write(buf); err != nil {
+				return false
 			}
-		}
-		if encodeSSE(w, ev) != nil {
-			return
+			buf = buf[:0]
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if ev.Kind.Terminal() {
-			_ = writeDone(w)
-			if flusher != nil {
-				flusher.Flush()
+		return true
+	}
+	ctx := r.Context()
+	for {
+		ev, dropped, ok := sub.poll()
+		if !ok {
+			if !send() {
+				return
 			}
+			if ev, dropped, ok = sub.Next(ctx); !ok {
+				return // client disconnected; deferred Close unhooks the fan-out
+			}
+		}
+		if !ev.At.IsZero() && time.Until(ev.At) > 0 {
+			if !send() || !holdUntil(ctx, ev.At) {
+				return
+			}
+		}
+		if dropped > 0 {
+			buf = appendDropMarker(buf, sub.ID(), sub.Request(), dropped)
+		}
+		var err error
+		if buf, err = appendSSE(buf, ev); err != nil {
+			send()
+			return
+		}
+		if ev.Kind.Terminal() {
+			buf = append(buf, doneMarker...)
+			send()
 			return
 		}
 	}
 }
+
+// sseScratch is the initial capacity of a stream's scratch buffer:
+// enough for a short stream's whole lifecycle in one write.
+const sseScratch = 2048
 
 // blockCompletion waits for the terminal event and answers with one JSON
 // body — the stream=false path.

@@ -58,7 +58,7 @@ func newSubscriber(id string, req, buffer int, policy OverflowPolicy) *Subscribe
 		id:    id,
 		req:   req,
 		block: policy == Block,
-		buf:   make([]Event, buffer),
+		buf:   newRing(buffer),
 		wake:  make(chan struct{}, 1),
 	}
 	s.space.L = &s.mu
@@ -120,29 +120,36 @@ func (s *Subscriber) publish(ev Event) {
 // ended the wait.
 func (s *Subscriber) Next(ctx context.Context) (ev Event, dropped int, ok bool) {
 	for {
-		s.mu.Lock()
-		if s.n > 0 {
-			ev = s.buf[s.head]
-			s.head++
-			if s.head == len(s.buf) {
-				s.head = 0
-			}
-			s.n--
-			dropped = s.dropped
-			s.dropped = 0
-			if s.block {
-				s.space.Signal()
-			}
-			s.mu.Unlock()
+		if ev, dropped, ok = s.poll(); ok {
 			return ev, dropped, true
 		}
-		s.mu.Unlock()
 		select {
 		case <-s.wake:
 		case <-ctx.Done():
 			return Event{}, 0, false
 		}
 	}
+}
+
+// poll is Next without the wait: ok is false when the ring is empty.
+func (s *Subscriber) poll() (ev Event, dropped int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return Event{}, 0, false
+	}
+	ev = s.buf[s.head]
+	s.head++
+	if s.head == len(s.buf) {
+		s.head = 0
+	}
+	s.n--
+	dropped = s.dropped
+	s.dropped = 0
+	if s.block {
+		s.space.Signal()
+	}
+	return ev, dropped, true
 }
 
 // terminate force-publishes a terminal event, dropping the oldest
@@ -177,12 +184,33 @@ func (s *Subscriber) terminate(ev Event) {
 }
 
 // Close marks the consumer gone: pending and future publishes become
-// no-ops and a producer blocked on backpressure is released. Idempotent;
-// called by the handler when its connection ends and by the bridge when
-// the session fails.
+// no-ops and a producer blocked on backpressure is released. The
+// consumer calls it once it has stopped reading (the handler, when its
+// connection ends); the ring then goes back to a pool for the next
+// request's subscriber. Idempotent.
 func (s *Subscriber) Close() {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		ring := s.buf
+		clear(ring)
+		rings.Put(&ring)
+		s.buf, s.head, s.n = nil, 0, 0
+	}
 	s.mu.Unlock()
 	s.space.Broadcast()
+}
+
+// rings recycles subscriber rings. Every request gets one, and at
+// gateway request rates the rings (64 events, about 12 KB, by default)
+// would otherwise be most of the gateway's garbage.
+var rings sync.Pool
+
+// newRing returns a zeroed ring of n events, recycled when one of that
+// size is pooled.
+func newRing(n int) []Event {
+	if r, ok := rings.Get().(*[]Event); ok && len(*r) == n {
+		return *r
+	}
+	return make([]Event, n)
 }
