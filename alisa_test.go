@@ -1,16 +1,17 @@
 package alisa
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestSimulateHeadline(t *testing.T) {
-	res, err := Simulate(Options{
-		Model: "opt-6.7b", Scheduler: "alisa",
-		Batch: 16, Input: 128, Output: 256,
-		KVSparsity: 0.8, KVBits: 8,
-	})
+	eng, err := New("opt-6.7b", WithScheduler("alisa"), WithKVSparsity(0.8), WithKVBits(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Simulate(context.Background(), Shape{Batch: 16, Input: 128, Output: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,10 +21,11 @@ func TestSimulateHeadline(t *testing.T) {
 }
 
 func TestSimulateExplicitProfile(t *testing.T) {
-	res, err := Simulate(Options{
-		Model: "opt-6.7b", Profile: "H100-80GB", Scheduler: "gpu-only",
-		Batch: 8, Input: 64, Output: 64, KVSparsity: 0, KVBits: 16,
-	})
+	eng, err := New("opt-6.7b", WithProfile("H100-80GB"), WithScheduler("gpu-only"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Simulate(context.Background(), Shape{Batch: 8, Input: 64, Output: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,41 +34,41 @@ func TestSimulateExplicitProfile(t *testing.T) {
 	}
 }
 
+// TestSimulateErrors walks a bad name or shape through the whole public
+// call — New, then Simulate — as a caller would.
 func TestSimulateErrors(t *testing.T) {
-	cases := []Options{
-		{Model: "gpt-5", Scheduler: "alisa", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Scheduler: "magic", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Profile: "TPU", Scheduler: "alisa", Batch: 1, Input: 1, Output: 1, KVBits: 16},
-		{Model: "opt-6.7b", Scheduler: "alisa", Batch: 0, Input: 1, Output: 1, KVBits: 16},
+	cases := []struct {
+		model string
+		opts  []Option
+		shape Shape
+	}{
+		{"gpt-5", nil, Shape{Batch: 1, Input: 1, Output: 1}},
+		{"opt-6.7b", []Option{WithScheduler("magic")}, Shape{Batch: 1, Input: 1, Output: 1}},
+		{"opt-6.7b", []Option{WithProfile("TPU")}, Shape{Batch: 1, Input: 1, Output: 1}},
+		{"opt-6.7b", nil, Shape{Batch: 0, Input: 1, Output: 1}},
 	}
-	for i, opts := range cases {
-		if _, err := Simulate(opts); err == nil {
+	for i, tc := range cases {
+		eng, err := New(tc.model, tc.opts...)
+		if err == nil {
+			_, err = eng.Simulate(context.Background(), tc.shape)
+		}
+		if err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
-func TestNewPolicyNames(t *testing.T) {
-	for _, name := range []string{"dense", "local", "strided", "swa", "h2o"} {
-		p, err := NewPolicy(name, 0.5, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.Name() != name {
-			t.Fatalf("Name() = %q, want %q", p.Name(), name)
-		}
-	}
-	if _, err := NewPolicy("oracle", 0.5, 2); err == nil {
-		t.Fatal("expected error for unknown policy")
-	}
-}
-
 func TestEvaluatePolicyOrdering(t *testing.T) {
-	swa, err := EvaluatePolicy("opt-6.7b", "swa", 0.8, 256, 1)
+	ctx := context.Background()
+	eng, err := New("opt-6.7b", WithKVSparsity(0.8), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := EvaluatePolicy("opt-6.7b", "local", 0.8, 256, 1)
+	swa, err := eng.EvaluatePolicy(ctx, "swa", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := eng.EvaluatePolicy(ctx, "local", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,13 @@ func TestEvaluatePolicyOrdering(t *testing.T) {
 	if swa.Spearman <= local.Spearman {
 		t.Fatalf("SWA ρ %.3f should beat local %.3f", swa.Spearman, local.Spearman)
 	}
-	dense, err := EvaluatePolicy("opt-6.7b", "dense", 0, 64, 1)
+	// The dense reference is the identity by definition: ρ ≡ 1 exactly,
+	// not approximately (see PolicyReport.Spearman).
+	denseEng, err := New("opt-6.7b", WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := denseEng.EvaluatePolicy(ctx, "dense", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +93,21 @@ func TestEvaluatePolicyOrdering(t *testing.T) {
 	}
 }
 
+// TestEvaluatePolicyErrors walks a bad model, policy, or step count
+// through New + Engine.EvaluatePolicy.
 func TestEvaluatePolicyErrors(t *testing.T) {
-	if _, err := EvaluatePolicy("gpt-5", "swa", 0.8, 16, 1); err == nil {
+	ctx := context.Background()
+	if _, err := New("gpt-5", WithKVSparsity(0.8)); err == nil {
 		t.Fatal("expected model error")
 	}
-	if _, err := EvaluatePolicy("opt-6.7b", "magic", 0.8, 16, 1); err == nil {
+	eng, err := New("opt-6.7b", WithKVSparsity(0.8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.EvaluatePolicy(ctx, "magic", 16); err == nil {
 		t.Fatal("expected policy error")
 	}
-	if _, err := EvaluatePolicy("opt-6.7b", "swa", 0.8, 0, 1); err == nil {
+	if _, err := eng.EvaluatePolicy(ctx, "swa", 0); err == nil {
 		t.Fatal("expected steps error")
 	}
 }
@@ -123,12 +138,11 @@ func TestCatalogs(t *testing.T) {
 }
 
 func TestServePublicAPI(t *testing.T) {
-	res, err := Serve(ServeOptions{
-		Model: "opt-6.7b", Scheduler: "alisa",
-		Trace:      PoissonTrace(12, 2, 3),
-		KVSparsity: 0.8, KVBits: 8,
-		MaxBatch: 6,
-	})
+	eng, err := New("opt-6.7b", WithScheduler("alisa"), WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Serve(context.Background(), PoissonTrace(12, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +157,14 @@ func TestServePublicAPI(t *testing.T) {
 	}
 }
 
+// TestServePublicAPIErrors pins that deepspeed-zero, a lockstep-only
+// scheduler, compiles for Simulate but is rejected for serving.
 func TestServePublicAPIErrors(t *testing.T) {
-	if _, err := Serve(ServeOptions{Model: "nope", Scheduler: "alisa", Trace: UniformTrace(1, 0, 8, 8), KVBits: 16}); err == nil {
-		t.Error("unknown model accepted")
+	eng, err := New("opt-6.7b", WithScheduler("deepspeed-zero"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Serve(ServeOptions{Model: "opt-6.7b", Scheduler: "deepspeed-zero", Trace: UniformTrace(1, 0, 8, 8), KVBits: 16}); err == nil {
+	if _, err := eng.Serve(context.Background(), UniformTrace(1, 0, 8, 8)); err == nil {
 		t.Error("deepspeed-zero accepted as serving policy")
 	}
 }

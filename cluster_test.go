@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sort"
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // clusterEngine compiles the suite's fleet engine: the paper's
@@ -262,5 +264,47 @@ func TestClusterCancellation(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("cancelled fleet returned no partial result")
+	}
+}
+
+// TestServeClusterConcurrentMatchesSerial pins that fleets are
+// self-contained simulations: every registered router × fleet size run
+// concurrently on one shared engine through the grid executor
+// reproduces the serial runs' full-precision fingerprints bit for bit.
+// Under -race it also checks the shared engine is safe to fan out.
+func TestServeClusterConcurrentMatchesSerial(t *testing.T) {
+	eng := clusterEngine(t)
+	tr := PoissonTrace(16, 6, 1)
+	routers, sizes := ClusterRouters(), []int{1, 2}
+	cells := len(routers) * len(sizes)
+	run := func(ctx context.Context, c int) (string, error) {
+		res, err := eng.ServeCluster(ctx, ClusterSpec{Replicas: sizes[c%len(sizes)], Router: routers[c/len(sizes)]}, tr)
+		if err != nil {
+			return "", err
+		}
+		return res.Fingerprint(), nil
+	}
+
+	ctx := context.Background()
+	serial := make([]string, cells)
+	for c := range serial {
+		var err error
+		if serial[c], err = run(ctx, c); err != nil {
+			t.Fatalf("serial cell %d: %v", c, err)
+		}
+	}
+	concurrent := make([]string, cells)
+	errs := make([]error, cells)
+	_ = grid.Run(ctx, cells, 4, func(ctx context.Context, c int) {
+		concurrent[c], errs[c] = run(ctx, c)
+	})
+	for c := range serial {
+		if errs[c] != nil {
+			t.Fatalf("concurrent cell %d: %v", c, errs[c])
+		}
+		if concurrent[c] != serial[c] {
+			t.Errorf("cell %s × %d replicas: concurrent fingerprint diverged from serial",
+				routers[c/len(sizes)], sizes[c%len(sizes)])
+		}
 	}
 }

@@ -7,18 +7,16 @@ import (
 
 func TestValidateParallelism(t *testing.T) {
 	cases := []struct {
-		name                 string
-		grid, sweep, cluster int
-		wantErr              string
+		name    string
+		grid    int
+		wantErr string
 	}{
-		{"all serial", 1, 1, 1, ""},
-		{"all GOMAXPROCS", 0, 0, 0, ""},
-		{"negative grid", -1, 0, 0, "-grid-parallel must be ≥ 0"},
-		{"negative sweep", 0, -4, 0, "-sweep-parallel must be ≥ 0"},
-		{"negative cluster", 0, 0, -2, "-cluster-parallel must be ≥ 0"},
+		{"serial", 1, ""},
+		{"GOMAXPROCS", 0, ""},
+		{"negative grid", -1, "-grid-parallel must be ≥ 0"},
 	}
 	for _, tc := range cases {
-		err := validateParallelism(tc.grid, tc.sweep, tc.cluster)
+		err := validateParallelism(tc.grid)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -28,17 +26,5 @@ func TestValidateParallelism(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err %v, want substring %q", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-func TestRunClusterBenchRejectsBadInputs(t *testing.T) {
-	if _, err := runClusterBench("", "1", 0, 6, 1, true); err == nil {
-		t.Fatal("zero -cluster-n accepted")
-	}
-	if _, err := runClusterBench("", "1", 8, -1, 1, true); err == nil {
-		t.Fatal("negative -cluster-rate accepted")
-	}
-	if _, err := runClusterBench("", "1,zero", 8, 6, 1, true); err == nil {
-		t.Fatal("non-integer -cluster-replicas accepted")
 	}
 }

@@ -217,6 +217,17 @@ func TestPolicyNames(t *testing.T) {
 		if p.Name() != want {
 			t.Errorf("Name() = %q, want %q", p.Name(), want)
 		}
+		// The registry resolves each built-in name to the same policy.
+		q, err := ByName(want, 0.5, 2)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", want, err)
+		}
+		if q.Name() != want {
+			t.Errorf("ByName(%q).Name() = %q", want, q.Name())
+		}
+	}
+	if _, err := ByName("oracle", 0.5, 2); err == nil {
+		t.Error("ByName accepted the unregistered name \"oracle\"")
 	}
 }
 

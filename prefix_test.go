@@ -136,3 +136,37 @@ func TestAgentAndRAGWorkloads(t *testing.T) {
 		t.Error("rag trace shared no prefixes — popular documents should hit")
 	}
 }
+
+// TestConversationTracePrefixAcceptance pins the prefix cache's headline
+// claim on the open-loop conversation trace: cache on vs off on the
+// 32G card (batch 8, 16-token blocks) at least halves the prefilled
+// tokens and raises goodput.
+func TestConversationTracePrefixAcceptance(t *testing.T) {
+	tr, err := NewConversationTrace(6, 8, 4.0, 2048, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := New("opt-6.7b", WithProfile("V100-32GB"), WithMaxBatch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	roff, err := off.Serve(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ron, err := prefixEngine(t).Serve(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ron.PrefillTokens == 0 {
+		t.Fatal("cache-on run prefilled nothing")
+	}
+	if reduction := float64(roff.PrefillTokens) / float64(ron.PrefillTokens); reduction < 2 {
+		t.Errorf("prefill reduction %.2f× (off %d, on %d tokens), want ≥ 2×",
+			reduction, roff.PrefillTokens, ron.PrefillTokens)
+	}
+	if ron.Goodput <= roff.Goodput {
+		t.Errorf("goodput %.3f with the cache on, %.3f off: want a positive delta", ron.Goodput, roff.Goodput)
+	}
+}

@@ -10,12 +10,12 @@ import (
 
 // TestServeManyMatchesSerialServe pins the parallel runner's contract:
 // results land at their trace's index and are bit-identical to calling
-// Serve once per trace serially — event logs included.
+// Serve once per trace serially — event logs included — on the alisa and
+// vllm engines alike.
 func TestServeManyMatchesSerialServe(t *testing.T) {
-	eng, err := New("opt-6.7b",
-		WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(8), WithEventLog(true))
-	if err != nil {
-		t.Fatal(err)
+	engines := map[string][]Option{
+		"alisa": {WithKVSparsity(0.8), WithKVBits(8), WithMaxBatch(8), WithEventLog(true)},
+		"vllm":  {WithScheduler("vllm"), WithMaxBatch(8), WithEventLog(true)},
 	}
 	traces := []TraceWorkload{
 		PoissonTrace(12, 1, 3),
@@ -25,25 +25,31 @@ func TestServeManyMatchesSerialServe(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	want := make([]*ServeResult, len(traces))
-	for i, tr := range traces {
-		if want[i], err = eng.Serve(ctx, tr); err != nil {
-			t.Fatalf("serial cell %d: %v", i, err)
-		}
-	}
-
-	// Several rounds: completion order varies, results must not.
-	for round := 0; round < 3; round++ {
-		got, err := eng.ServeMany(ctx, traces)
+	for name, opts := range engines {
+		eng, err := New("opt-6.7b", opts...)
 		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatal(err)
 		}
-		for i := range traces {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d cell %d diverged from serial Serve", round, i)
+		want := make([]*ServeResult, len(traces))
+		for i, tr := range traces {
+			if want[i], err = eng.Serve(ctx, tr); err != nil {
+				t.Fatalf("%s: serial cell %d: %v", name, i, err)
 			}
-			if got[i].RenderEventLog() != want[i].RenderEventLog() {
-				t.Fatalf("round %d cell %d event log diverged", round, i)
+		}
+
+		// Several rounds: completion order varies, results must not.
+		for round := 0; round < 3; round++ {
+			got, err := eng.ServeMany(ctx, traces)
+			if err != nil {
+				t.Fatalf("%s: round %d: %v", name, round, err)
+			}
+			for i := range traces {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s: round %d cell %d diverged from serial Serve", name, round, i)
+				}
+				if got[i].RenderEventLog() != want[i].RenderEventLog() {
+					t.Fatalf("%s: round %d cell %d event log diverged", name, round, i)
+				}
 			}
 		}
 	}

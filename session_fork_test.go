@@ -211,3 +211,43 @@ func TestWithExactMetricsScaleServe(t *testing.T) {
 		t.Fatalf("scale-mode aggregates drifted:\nexact: %+v\nscale: %+v", exact, scale)
 	}
 }
+
+// TestScaleSessionCompletesPacedStream streams 20 000 requests through
+// one scale-mode Session (streaming digests, recycled records) with the
+// queue topped up to an in-flight cap of 256 and advanced until it
+// half-drains — an open-loop client with bounded backlog. Every request
+// must complete.
+func TestScaleSessionCompletesPacedStream(t *testing.T) {
+	const n, liveCap = 20_000, 256
+	eng, err := New("opt-6.7b", WithScheduler("gpu-only"), WithMaxBatch(8), WithExactMetrics(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.Open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for next := 0; next < n; {
+		for next < n && s.Pending()+s.InFlight() < liveCap {
+			if err := s.Push(Request{ID: next, Arrival: s.Clock(), Input: 32, Output: 4}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for s.Pending()+s.InFlight() > liveCap/2 {
+			if _, err := s.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != n {
+		t.Fatalf("completed %d of %d requests", res.Completed, n)
+	}
+	if res.Requests != nil {
+		t.Fatalf("scale mode retained %d records", len(res.Requests))
+	}
+}

@@ -2,6 +2,8 @@ package alisa
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -458,5 +460,80 @@ func TestWithMetricsWindowValidation(t *testing.T) {
 		if _, err := New("opt-6.7b", WithMetricsWindow(n)); !errors.As(err, &ce) || ce.Field != "MetricsWindow" {
 			t.Errorf("WithMetricsWindow(%d): err = %v, want ConfigError on MetricsWindow", n, err)
 		}
+	}
+}
+
+// serveDigest hashes every field of a ServeResult at full precision —
+// floats as exact binary (%b), per-request records, breakdown and event
+// log included — so a pinned digest catches any drift in the closed-loop
+// drivers' output.
+func serveDigest(r *ServeResult) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "sched=%s completed=%d makespan=%b tput=%b goodput=%b slo=%b\n",
+		r.Scheduler, r.Completed, r.Makespan, r.Throughput, r.Goodput, r.SLOAttainment)
+	fmt.Fprintf(h, "ttft=%b tpot=%b e2e=%b pre=%d batch=%b\n",
+		r.TTFT, r.TPOT, r.E2E, r.Preemptions, r.MeanBatch)
+	fmt.Fprintf(h, "prefill=%d hits=%d misses=%d cached=%d shared=%d peak=%d/%d\n",
+		r.PrefillTokens, r.PrefixHits, r.PrefixMisses, r.PrefixCachedTokens, r.PrefixSharedBytes,
+		r.PeakGPU, r.PeakCPU)
+	if r.Breakdown != nil {
+		fmt.Fprintf(h, "breakdown=%b\n", *r.Breakdown)
+	}
+	for _, q := range r.Requests {
+		fmt.Fprintf(h, "r%d arr=%b adm=%b ft=%b fin=%b in=%d out=%d pre=%d\n",
+			q.ID, q.Arrival, q.Admitted, q.FirstToken, q.Finished, q.Input, q.Output, q.Preemptions)
+	}
+	for _, line := range r.EventLog {
+		fmt.Fprintln(h, line)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestClosedLoopDriverDigests pins ServeClosedLoop and ServeScripted
+// output, field by field, across schedulers, think times and the
+// prefix-sharing scripts: both methods share one closed-loop runner, and
+// any change to it must leave these results bit-identical.
+func TestClosedLoopDriverDigests(t *testing.T) {
+	ctx := context.Background()
+	closedLoop := func(sched string, think float64) func(t *testing.T) *ServeResult {
+		return func(t *testing.T) *ServeResult {
+			eng, err := New("opt-6.7b", sessionEngineOpts(sched)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.ServeClosedLoop(ctx, ClosedLoop{Clients: 4, Requests: 24, ThinkTime: think, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+	}
+	scripted := func(clients func() []ClosedClient) func(t *testing.T) *ServeResult {
+		return func(t *testing.T) *ServeResult {
+			res, err := prefixEngine(t, WithEventLog(true)).ServeScripted(ctx, clients())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T) *ServeResult
+		want string
+	}{
+		{"closed-loop/alisa/think0", closedLoop("alisa", 0), "6b4475f2ddb237c5c6bd552dd101e92288a62ea2bf3dbe7663b608d79bba3776"},
+		{"closed-loop/alisa/think0.5", closedLoop("alisa", 0.5), "e1925542d3345d04da556acf0f377b42a668bea1aa848dc6c33da0f412e87220"},
+		{"closed-loop/vllm/think0", closedLoop("vllm", 0), "0c36e207cc288aa26f4358caec3dce07a588be094c77771fe17cbe5bfb3510ed"},
+		{"closed-loop/vllm/think0.5", closedLoop("vllm", 0.5), "4e8baebb56a0e5a76e9ea283c43299a20b7aadb444f5e7188670860890f8c584"},
+		{"scripted/conversation", scripted(func() []ClosedClient { return NewConversationClients(4, 6, 0.5, 2048, 11) }), "bff4524a28c6454339d5762aa64f1a351189f9c6b04b5655a265a2431e4e0cdd"},
+		{"scripted/agent", scripted(func() []ClosedClient { return NewAgentClients(4, 8, 0.25, 2048, 17) }), "9586a6f44edeb56fd9700dc5a96999cda8ba6ecac96d08fc8166c105a0f97c10"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := serveDigest(tc.run(t)); got != tc.want {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
