@@ -15,9 +15,9 @@ import (
 // admission/decode path, the wait-queue heap ops, rolling-window and
 // sketch ingestion, the cluster turn loop, the prefix-cache probe/
 // insert/evict machinery, the gateway's per-event fan-out and SSE
-// encoder, ALISA's
-// per-step token placement (Alisa.Step and the TokenStore queries it
-// makes), and the decode-cost table lookups behind every iteration's
+// encoder, ALISA's per-step token placement (Alisa.Step and the
+// TokenStore queries it makes, plus the one-range prompt placement
+// AppendN), and the decode-cost table lookups behind every iteration's
 // compute charge. The test fails in BOTH directions — a lost
 // annotation shrinks coverage silently, and a new annotation is a
 // contract change that belongs in this list (and in DESIGN.md §12).
@@ -30,6 +30,7 @@ var wantAnnotated = []string{
 	"internal/gateway.(*Subscriber).publish",
 	"internal/gateway.(bridgeTap).OnToken",
 	"internal/gateway.appendSSE",
+	"internal/kvcache.(*TokenStore).AppendN",
 	"internal/kvcache.(*TokenStore).CountsIn",
 	"internal/kvcache.(*TokenStore).Newest",
 	"internal/kvcache.(*TokenStore).Oldest",

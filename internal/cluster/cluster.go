@@ -478,6 +478,10 @@ func (t *fleetTap) OnFirstToken(events.FirstToken) {}
 func (t *fleetTap) OnToken(events.Token)           {}
 func (t *fleetTap) OnPreemption(events.Preemption) {}
 
+// WantsTokens implements events.TokenGate: the fleet's windows are fed
+// by completions alone.
+func (t *fleetTap) WantsTokens() bool { return false }
+
 func (t *fleetTap) OnCompletion(e events.Completion) {
 	t.r.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)
 	t.c.window.Observe(e.Clock, e.TTFT, e.TPOT, e.E2E, e.Output, e.SLOMet)

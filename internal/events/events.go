@@ -68,7 +68,7 @@ type FirstToken struct {
 // finest-grained lifecycle event, emitted once per active sequence per
 // decode iteration. Streaming clients subscribe to it to model
 // token-by-token delivery; everyone else leaves the callback nil, which
-// costs nothing.
+// (through TokenGate) keeps the serving loop from emitting it at all.
 type Token struct {
 	Request int
 	Clock   float64
@@ -113,6 +113,9 @@ type Completion struct {
 // goroutine-safe — each run delivers its events from one goroutine — but
 // one Observer attached to several concurrent runs must synchronise
 // internally.
+//
+// Token events are by far the most frequent, so an observer may opt out
+// of them by also implementing TokenGate; see WantsTokens.
 type Observer interface {
 	OnStep(Step)
 	OnAdmission(Admission)
@@ -122,8 +125,34 @@ type Observer interface {
 	OnCompletion(Completion)
 }
 
+// TokenGate is the optional Observer extension that declares whether the
+// observer takes Token events. The serving loop asks before each decode
+// iteration's token events and again after every completion event (a
+// completion callback may subscribe a token observer), and skips OnToken
+// altogether while the answer is false. An answer that turns true in any
+// other callback takes effect at the next of those points. An observer
+// answering false may still receive OnToken calls — a Multi delivers to
+// every member once any of them wants tokens — and must ignore them.
+type TokenGate interface {
+	WantsTokens() bool
+}
+
+// WantsTokens reports whether obs takes Token events: false for nil, the
+// observer's own answer when it implements TokenGate, and true otherwise,
+// so an observer written without the gate keeps receiving every token.
+func WantsTokens(obs Observer) bool {
+	if obs == nil {
+		return false
+	}
+	if g, ok := obs.(TokenGate); ok {
+		return g.WantsTokens()
+	}
+	return true
+}
+
 // Funcs adapts a set of optional callbacks to the Observer interface;
-// nil fields ignore their events.
+// nil fields ignore their events, and a nil Token field opts out of
+// token events entirely (WantsTokens).
 type Funcs struct {
 	Step       func(Step)
 	Admission  func(Admission)
@@ -160,6 +189,10 @@ func (f Funcs) OnToken(e Token) {
 		f.Token(e)
 	}
 }
+
+// WantsTokens implements TokenGate: only a set Token callback takes
+// token events.
+func (f Funcs) WantsTokens() bool { return f.Token != nil }
 
 // OnPreemption implements Observer.
 func (f Funcs) OnPreemption(e Preemption) {
@@ -218,6 +251,12 @@ func (s *synced) OnToken(e Token) {
 	s.obs.OnToken(e)
 }
 
+func (s *synced) WantsTokens() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return WantsTokens(s.obs)
+}
+
 func (s *synced) OnPreemption(e Preemption) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,6 +304,17 @@ func (m multi) OnToken(e Token) {
 	for _, o := range m {
 		o.OnToken(e)
 	}
+}
+
+// WantsTokens implements TokenGate: the fan-out takes tokens when any
+// member does.
+func (m multi) WantsTokens() bool {
+	for _, o := range m {
+		if WantsTokens(o) {
+			return true
+		}
+	}
+	return false
 }
 
 func (m multi) OnPreemption(e Preemption) {

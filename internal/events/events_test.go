@@ -149,3 +149,32 @@ func TestSynchronizedForwardsAllKinds(t *testing.T) {
 		t.Fatalf("Synchronized altered delivery:\n plain   %v\n wrapped %v", plain.events, wrapped.events)
 	}
 }
+
+// TestWantsTokens pins the token-gate answers: nil takes none, an
+// observer without the method takes all, Funcs takes them exactly when
+// its Token callback is set, and Multi/Synchronized ask their members.
+func TestWantsTokens(t *testing.T) {
+	withToken := Funcs{Token: func(Token) {}}
+	without := Funcs{Completion: func(Completion) {}}
+	for _, c := range []struct {
+		name string
+		obs  Observer
+		want bool
+	}{
+		{"nil", nil, false},
+		{"direct", &recorder{}, true},
+		{"funcs with Token", withToken, true},
+		{"funcs without Token", without, false},
+		{"multi without", Multi(without, Funcs{}), false},
+		{"multi with funcs", Multi(without, withToken), true},
+		{"multi with direct", Multi(without, &recorder{}), true},
+		{"empty multi", Multi(), false},
+		{"synchronized without", Synchronized(without), false},
+		{"synchronized direct", Synchronized(&recorder{}), true},
+		{"synchronized multi", Synchronized(Multi(without, withToken)), true},
+	} {
+		if got := WantsTokens(c.obs); got != c.want {
+			t.Errorf("%s: WantsTokens = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -12,7 +12,10 @@
 // charges the actual transfer times.
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Location says where a token's KV tensors currently live.
 type Location uint8
@@ -74,6 +77,36 @@ func (s *TokenStore) Append(loc Location) int {
 	s.loc = append(s.loc, loc)
 	s.enter(i, loc)
 	return i
+}
+
+// AppendN adds k new token positions at the given location, in one
+// step, with the same effect as k calls to Append — the prefill of a
+// prompt range that lands in one place.
+//
+//alisa:hotpath
+func (s *TokenStore) AppendN(loc Location, k int) {
+	if k <= 0 {
+		return
+	}
+	i := len(s.loc)
+	s.loc = slices.Grow(s.loc, k)[:i+k]
+	r := s.loc[i:]
+	for p := range r {
+		r[p] = loc
+	}
+	if s.counts[loc] == 0 {
+		s.lo[loc] = i
+	}
+	s.hi[loc] = i + k
+	s.counts[loc] += k
+}
+
+// Grow makes room for n more positions, so the next n appends do not
+// reallocate — sizing a sequence's store once for its whole run.
+func (s *TokenStore) Grow(n int) {
+	if n > 0 {
+		s.loc = slices.Grow(s.loc, n)
+	}
 }
 
 // Loc returns the location of position i.

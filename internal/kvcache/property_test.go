@@ -86,12 +86,15 @@ func checkQueries(t *testing.T, s *TokenStore, rng *rand.Rand) {
 	}
 }
 
-// applyOp performs one random store op: append, move in any direction
-// (back to GPU included), reset, or replacement by a clone.
+// applyOp performs one random store op: append, a ranged AppendN of up
+// to 16 positions (zero included), move in any direction (back to GPU
+// included), reset, or replacement by a clone.
 func applyOp(s *TokenStore, op, a, b uint8) *TokenStore {
 	switch {
-	case op < 128 || s.Len() == 0:
+	case op < 112 || s.Len() == 0:
 		s.Append(allLocations[a%3])
+	case op < 128:
+		s.AppendN(allLocations[a%3], int(b%17))
 	case op < 240:
 		s.Move(int(a)*int(b)%s.Len(), allLocations[op%3])
 	case op < 248:
@@ -106,8 +109,8 @@ func applyOp(s *TokenStore, op, a, b uint8) *TokenStore {
 	return s
 }
 
-// TestTokenStoreProperties drives random op sequences — append, move,
-// reset, clone — and checks the byte-accounting invariants and the
+// TestTokenStoreProperties drives random op sequences — append,
+// AppendN, move, reset, clone — and checks the byte-accounting invariants and the
 // scheduler-facing queries after every op.
 func TestTokenStoreProperties(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -136,6 +139,82 @@ func FuzzTokenStoreOps(f *testing.F) {
 			checkQueries(t, s, rng)
 		}
 	})
+}
+
+// TestTokenStoreAppendNMatchesAppends drives two stores through the same
+// random interleaving of ranged appends and moves — one appending each
+// range with AppendN(loc, k), the other with k Appends — and demands they
+// agree on Loc, Counts, CountsIn, Oldest and Newest after every op.
+func TestTokenStoreAppendNMatchesAppends(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ranged, single := NewTokenStore(), NewTokenStore()
+		if seed%2 == 1 {
+			// Half the runs append into pre-sized stores.
+			ranged.Grow(rng.Intn(512))
+			single.Grow(rng.Intn(512))
+		}
+		for op := 0; op < 1000; op++ {
+			if n := ranged.Len(); n == 0 || rng.Intn(3) == 0 {
+				loc, k := allLocations[rng.Intn(3)], rng.Intn(24)
+				ranged.AppendN(loc, k)
+				for i := 0; i < k; i++ {
+					single.Append(loc)
+				}
+			} else {
+				i, to := rng.Intn(n), allLocations[rng.Intn(3)]
+				ranged.Move(i, to)
+				single.Move(i, to)
+			}
+			n := ranged.Len()
+			if single.Len() != n {
+				t.Fatalf("seed %d op %d: Len %d, appends %d", seed, op, n, single.Len())
+			}
+			for i := 0; i < n; i++ {
+				if ranged.Loc(i) != single.Loc(i) {
+					t.Fatalf("seed %d op %d: Loc(%d) = %v, appends %v", seed, op, i, ranged.Loc(i), single.Loc(i))
+				}
+			}
+			rg, rc, rd := ranged.Counts()
+			sg, sc, sd := single.Counts()
+			if rg != sg || rc != sc || rd != sd {
+				t.Fatalf("seed %d op %d: Counts (%d,%d,%d), appends (%d,%d,%d)", seed, op, rg, rc, rd, sg, sc, sd)
+			}
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(n-lo+1)
+			if a, b := ranged.CountsIn(lo, hi), single.CountsIn(lo, hi); a != b {
+				t.Fatalf("seed %d op %d: CountsIn(%d,%d) = %v, appends %v", seed, op, lo, hi, a, b)
+			}
+			for _, loc := range allLocations {
+				if a, b := ranged.Oldest(loc), single.Oldest(loc); a != b {
+					t.Fatalf("seed %d op %d: Oldest(%v) = %d, appends %d", seed, op, loc, a, b)
+				}
+				if a, b := ranged.Newest(loc), single.Newest(loc); a != b {
+					t.Fatalf("seed %d op %d: Newest(%v) = %d, appends %d", seed, op, loc, a, b)
+				}
+			}
+			checkTokenStore(t, ranged, 64)
+		}
+	}
+}
+
+// TestTokenStoreGrowPresizes: after Grow(n), n appends — single or
+// ranged — keep the backing array Grow sized.
+func TestTokenStoreGrowPresizes(t *testing.T) {
+	s := NewTokenStore()
+	s.Append(GPU)
+	s.Grow(96)
+	sized := cap(s.loc)
+	if sized < 97 {
+		t.Fatalf("Grow(96) on 1 position left capacity %d", sized)
+	}
+	s.AppendN(GPU, 64)
+	for i := 0; i < 32; i++ {
+		s.Append(CPU)
+	}
+	if cap(s.loc) != sized {
+		t.Fatalf("appends after Grow reallocated: capacity %d, sized %d", cap(s.loc), sized)
+	}
 }
 
 // TestBlockStoreProperties drives random append/swap sequences and checks

@@ -46,7 +46,6 @@ type Alisa struct {
 
 	phase2Start int // first step that offloaded (-1 until seen)
 	phase3Start int // first step that deleted (-1 until seen)
-	params      Params
 }
 
 // NewAlisa returns an auto-tuned three-phase scheduler.
@@ -72,28 +71,36 @@ func (a *Alisa) CloneScheduler() Scheduler {
 	return &c
 }
 
-// Params returns the parameters in effect after Init.
-func (a *Alisa) Params() Params { return a.params }
-
 // Init implements Scheduler: tune parameters, then place the prefill KV —
 // GPU first, overflow to CPU oldest-first.
 func (a *Alisa) Init(ctx *Context) error {
 	a.store = kvcache.NewTokenStore()
+	a.store.Grow(ctx.MaxSeq())
 	a.phase2Start, a.phase3Start = -1, -1
 	if a.AutoTune {
-		a.params = Optimize(ctx)
-		a.Beta = a.params.Beta
-		a.P2 = a.params.P2
-	} else {
-		a.params = Params{Beta: a.Beta, P2: a.P2}
+		if _, p1 := phaseIIStart(ctx); p1 >= ctx.Output {
+			// Everything fits: Optimize would pick exactly these without
+			// searching, and its cost prediction is never read here.
+			a.Beta, a.P2 = 0, ctx.Output
+		} else {
+			p := Optimize(ctx)
+			a.Beta, a.P2 = p.Beta, p.P2
+		}
 	}
 
+	// The leading prompt range that fits goes to the GPU in one
+	// allocation. Once one token is refused the GPU never frees up during
+	// prefill (spilling only touches CPU memory), so the remainder spills.
 	tokenBytes := ctx.TokenBytes()
-	for i := 0; i < ctx.Input; i++ {
-		if err := ctx.Sys.AllocGPU(tokenBytes); err == nil {
-			a.store.Append(kvcache.GPU)
-			continue
-		}
+	onGPU := ctx.Input
+	if tokenBytes > 0 {
+		onGPU = int(min(int64(onGPU), max(ctx.Sys.GPUHeadroom()/tokenBytes, 0)))
+	}
+	if err := ctx.Sys.AllocGPU(int64(onGPU) * tokenBytes); err != nil {
+		return fmt.Errorf("alisa: prefill KV: %w", err)
+	}
+	a.store.AppendN(kvcache.GPU, onGPU)
+	for i := onGPU; i < ctx.Input; i++ {
 		// Prefill KV does not fit: spill this token to CPU. The tensors
 		// were produced on the GPU, so spilling costs a PCIe store. When
 		// CPU memory is itself exhausted and recomputation is available,
@@ -141,6 +148,17 @@ func (a *Alisa) Step(ctx *Context, j int) (StepPlan, error) {
 	tokenBytes := ctx.TokenBytes()
 	attended := attendedTokens(ctx, n)
 	plan := StepPlan{Attended: attended, Sparse: ctx.CachingRatio < 1}
+
+	// Phase I: every token is on the GPU and the new one fits, so nothing
+	// is fetched, recomputed, offloaded or deleted.
+	if a.store.Count(kvcache.CPU) == 0 && a.store.Count(kvcache.Deleted) == 0 &&
+		ctx.Sys.GPUHeadroom() >= tokenBytes {
+		if err := ctx.Sys.AllocGPU(tokenBytes); err != nil {
+			return plan, fmt.Errorf("alisa: new-token KV: %w", err)
+		}
+		a.store.Append(kvcache.GPU)
+		return plan, nil
+	}
 
 	// Split the budget per Algorithm 1: half locally static (most recent),
 	// half globally dynamic from the earlier prefix.

@@ -14,11 +14,13 @@ import (
 )
 
 // The reference scheduler below is the original O(n)-per-step
-// formulation of Alisa.Init/Step: it rescans the whole prefix for the
-// placement shares and the whole window for the local misses, and finds
-// every eviction victim by a scan from the end of the store. The
-// differential test drives it beside the production scheduler and
-// demands bit-identical plans, placements and system state.
+// formulation of Alisa.Init/Step: it tunes through the full Optimize,
+// places the prompt one token at a time, rescans the whole prefix for
+// the placement shares and the whole window for the local misses, finds
+// every eviction victim by a scan from the end of the store, and has no
+// Phase I shortcut. The differential test drives it beside the
+// production scheduler and demands bit-identical plans, placements and
+// system state.
 
 // refScan returns the oldest (or newest) position at loc by a full scan,
 // or -1.
@@ -42,7 +44,10 @@ func refScan(s *kvcache.TokenStore, loc kvcache.Location, newest bool) int {
 func refInit(a *Alisa, ctx *Context) error {
 	a.store = kvcache.NewTokenStore()
 	a.phase2Start, a.phase3Start = -1, -1
-	a.params = Params{Beta: a.Beta, P2: a.P2}
+	if a.AutoTune {
+		p := Optimize(ctx)
+		a.Beta, a.P2 = p.Beta, p.P2
+	}
 	tokenBytes := ctx.TokenBytes()
 	for i := 0; i < ctx.Input; i++ {
 		if err := ctx.Sys.AllocGPU(tokenBytes); err == nil {
@@ -196,6 +201,11 @@ type diffCase struct {
 	beta                 float64
 	p2                   int
 	recompute, newest    bool
+	autoTune             bool
+	// tenantTokens of GPU KV belong to another sequence that completes
+	// before step tenantLeaves, freeing headroom mid-run as a serving
+	// batch does.
+	tenantTokens, tenantLeaves int
 }
 
 func randomDiffCase(rng *rand.Rand) diffCase {
@@ -207,6 +217,7 @@ func randomDiffCase(rng *rand.Rand) diffCase {
 		beta:      []float64{0, 0.3, 0.5, 1, rng.Float64()}[rng.Intn(5)],
 		recompute: rng.Intn(4) != 0,
 		newest:    rng.Intn(4) == 0,
+		autoTune:  rng.Intn(4) == 0,
 	}
 	switch rng.Intn(3) {
 	case 0:
@@ -217,15 +228,22 @@ func randomDiffCase(rng *rand.Rand) diffCase {
 		c.ratio = 0.05 + 0.9*rng.Float64()
 	}
 	total := c.input + c.output
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0: // everything fits: Phase I throughout
 		c.gpuTokens, c.cpuTokens = total+1, total
 	case 1: // GPU pressure, roomy CPU: Phase II
 		c.gpuTokens, c.cpuTokens = 1+rng.Intn(total), total
+	case 2: // the prompt fits, decode overflows: Phase I, then II and III
+		c.gpuTokens = c.input + 1 + rng.Intn(c.output)
+		c.cpuTokens = rng.Intn(c.output/2 + 1)
 	default: // both tight: eviction and deletion
 		c.gpuTokens, c.cpuTokens = 1+rng.Intn(total), rng.Intn(total/2+1)
 	}
 	c.p2 = rng.Intn(c.output + 1)
+	if rng.Intn(2) == 0 {
+		c.tenantTokens = 1 + rng.Intn(total/2+1)
+		c.tenantLeaves = rng.Intn(c.output)
+	}
 	return c
 }
 
@@ -237,7 +255,7 @@ func (c diffCase) context(t *testing.T) *Context {
 	prof := memsim.V100_16G()
 	ctx := &Context{Cost: costmodel.New(prof), Model: cfg, Batch: c.batch, Input: c.input, Output: c.output,
 		CachingRatio: c.ratio, KVBits: c.kvBits, Breakdown: trace.NewBreakdown()}
-	prof.GPUMemBytes = ctx.WeightBytes() + ctx.ActivationBytes() + int64(c.gpuTokens)*ctx.TokenBytes()
+	prof.GPUMemBytes = ctx.WeightBytes() + ctx.ActivationBytes() + int64(c.gpuTokens+c.tenantTokens)*ctx.TokenBytes()
 	prof.CPUMemBytes = int64(c.cpuTokens) * ctx.TokenBytes()
 	ctx.Sys = memsim.NewSystem(prof)
 	ctx.Cost = costmodel.New(prof)
@@ -245,6 +263,9 @@ func (c diffCase) context(t *testing.T) *Context {
 		t.Fatal(err)
 	}
 	if err := ctx.Sys.AllocGPU(ctx.ActivationBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Sys.AllocGPU(int64(c.tenantTokens) * ctx.TokenBytes()); err != nil {
 		t.Fatal(err)
 	}
 	return ctx
@@ -274,26 +295,54 @@ func errString(err error) string {
 // TestAlisaStepMatchesReference drives the production scheduler and the
 // O(n) reference side by side over seeded random runs spanning all three
 // phases, both eviction orders, recomputation on and off, tight GPU and
-// CPU budgets, and dense and sparse caching ratios. Every plan, every
-// placement, every phase marker and the whole simulated system must agree
-// bit for bit after every step.
+// CPU budgets, dense and sparse caching ratios, auto-tuned parameters
+// (everything-fits and grid-search contexts), prompts that overflow the
+// GPU mid-prompt, and runs that cross Phase I → II → III. Every plan,
+// every placement, every phase marker and the whole simulated system —
+// clock, usage, GPU/CPU peaks, transfer counters — and the breakdown must
+// agree bit for bit after every step.
 func TestAlisaStepMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240611))
 	var phases [4]int // runs whose last step executed in each phase
 	var newest, noRecompute, dense, sparse int
-	for run := 0; run < 300; run++ {
+	var tunedFits, tunedGrid, promptSpill, crossed, deletedOnly int
+	for run := 0; run < 600; run++ {
 		c := randomDiffCase(rng)
 		ctxA, ctxB := c.context(t), c.context(t)
 		got := NewAlisaManual(c.beta, c.p2, c.recompute)
 		want := NewAlisaManual(c.beta, c.p2, c.recompute)
 		got.EvictNewestFirst, want.EvictNewestFirst = c.newest, c.newest
+		got.AutoTune, want.AutoTune = c.autoTune, c.autoTune
+		if c.autoTune {
+			if _, p1 := phaseIIStart(ctxA); p1 >= c.output {
+				tunedFits++
+			} else {
+				tunedGrid++
+			}
+		}
 
 		errA, errB := got.Init(ctxA), refInit(want, ctxB)
 		if errString(errA) != errString(errB) {
 			t.Fatalf("run %d %+v: Init error %q, reference %q", run, c, errString(errA), errString(errB))
 		}
+		if got.Beta != want.Beta || got.P2 != want.P2 {
+			t.Fatalf("run %d %+v: tuned (β=%v, P2=%d), reference (β=%v, P2=%d)", run, c, got.Beta, got.P2, want.Beta, want.P2)
+		}
+		if *ctxA.Sys != *ctxB.Sys {
+			t.Fatalf("run %d %+v: system state after Init %+v, reference %+v", run, c, *ctxA.Sys, *ctxB.Sys)
+		}
+		if errA == nil && c.input > c.gpuTokens && got.store.Count(kvcache.GPU) > 0 {
+			promptSpill++
+		}
 		steps := 0
 		for j := 0; errA == nil && j < c.output; j++ {
+			if c.tenantTokens > 0 && j == c.tenantLeaves {
+				ctxA.Sys.FreeGPU(int64(c.tenantTokens) * ctxA.TokenBytes())
+				ctxB.Sys.FreeGPU(int64(c.tenantTokens) * ctxB.TokenBytes())
+			}
+			if _, cpu, del := got.store.Counts(); cpu == 0 && del > 0 && ctxA.Sys.GPUHeadroom() >= ctxA.TokenBytes() {
+				deletedOnly++
+			}
 			var pa, pb StepPlan
 			pa, errA = got.Step(ctxA, j)
 			pb, errB = refStep(want, ctxB, j)
@@ -314,7 +363,7 @@ func TestAlisaStepMatchesReference(t *testing.T) {
 		if *ctxA.Sys != *ctxB.Sys {
 			t.Fatalf("run %d %+v: system state %+v, reference %+v", run, c, *ctxA.Sys, *ctxB.Sys)
 		}
-		if ctxA.Breakdown.String() != ctxB.Breakdown.String() {
+		if *ctxA.Breakdown != *ctxB.Breakdown {
 			t.Fatalf("run %d %+v: breakdown %s, reference %s", run, c, ctxA.Breakdown, ctxB.Breakdown)
 		}
 		a2, a3 := got.PhaseStarts()
@@ -335,11 +384,19 @@ func TestAlisaStepMatchesReference(t *testing.T) {
 			} else {
 				sparse++
 			}
+			if a2 > 0 && a3 > a2 {
+				crossed++
+			}
 		}
 	}
 	if phases[1] == 0 || phases[2] == 0 || phases[3] == 0 || newest == 0 || noRecompute == 0 || dense == 0 || sparse == 0 {
 		t.Fatalf("coverage gap: completed runs ending in phases I/II/III %v, newest-first evicting %d, no-recompute evicting %d, dense %d, sparse %d",
 			phases[1:], newest, noRecompute, dense, sparse)
 	}
-	t.Logf("completed runs ending in phases I/II/III: %v", phases[1:])
+	if tunedFits == 0 || tunedGrid == 0 || promptSpill == 0 || crossed == 0 || deletedOnly == 0 {
+		t.Fatalf("coverage gap: auto-tuned fits %d, auto-tuned grid %d, mid-prompt GPU overflow %d, Phase I→II→III runs %d, steps with GPU room and only deleted tokens off it %d",
+			tunedFits, tunedGrid, promptSpill, crossed, deletedOnly)
+	}
+	t.Logf("completed runs ending in phases I/II/III: %v; auto-tuned fits/grid %d/%d; mid-prompt overflow %d; I→II→III %d; deleted-only steps with GPU room %d",
+		phases[1:], tunedFits, tunedGrid, promptSpill, crossed, deletedOnly)
 }

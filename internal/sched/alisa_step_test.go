@@ -103,3 +103,37 @@ func TestAlisaStepZeroAllocs(t *testing.T) {
 		t.Fatalf("Phase III Alisa.Step allocates %v times per call, want 0", allocs)
 	}
 }
+
+// BenchmarkAlisaAdmit times ALISA's admission as the serving loop runs
+// it: a fresh auto-tuned scheduler's Init on a 512-token prompt (256
+// output tokens, KV sparsity 0.8, INT8, opt-6.7b on V100-16GB with a
+// warm decode-cost table) where everything fits on the GPU, followed by
+// the Release that retires the sequence.
+func BenchmarkAlisaAdmit(b *testing.B) {
+	prof := memsim.V100_16G()
+	mc := model.MustByName("opt-6.7b")
+	cost := costmodel.New(prof)
+	sys := memsim.NewSystem(prof)
+	if err := sys.AllocGPU(mc.WeightBytes(2)); err != nil {
+		b.Fatal(err)
+	}
+	ctx := &Context{
+		Sys: sys, Cost: cost, Model: mc,
+		Batch: 1, Input: 512, Output: 256,
+		CachingRatio: 0.2, KVBits: 8,
+		Breakdown: trace.NewBreakdown(),
+	}
+	ctx.Decode = costmodel.NewDecodeTable(&cost, mc, ctx.kvComputeWidth())
+	if _, p1 := phaseIIStart(ctx); p1 < ctx.Output {
+		b.Fatalf("admission context does not fit on the GPU (p1 %d < output %d)", p1, ctx.Output)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := NewAlisa()
+		if err := a.Init(ctx); err != nil {
+			b.Fatal(err)
+		}
+		a.Release(ctx)
+	}
+}

@@ -52,20 +52,8 @@ func QuantSeconds(ctx *Context, positions int) float64 {
 // same cost model the runtime uses — the stand-in for the paper's
 // profiling tables.
 func Optimize(ctx *Context) Params {
-	tokenBytes := ctx.TokenBytes()
-	budget := int(ctx.Sys.GPUHeadroom() / tokenBytes)
+	budget, p1 := phaseIIStart(ctx)
 	maxSeq := ctx.MaxSeq()
-
-	// p1: the first decode step at which cached tokens exceed the GPU
-	// budget (Phase II trigger). Offloading starts at prefill when even
-	// the prompt does not fit.
-	p1 := budget - ctx.Input
-	if p1 < 0 {
-		p1 = 0
-	}
-	if p1 > ctx.Output {
-		p1 = ctx.Output
-	}
 
 	// α: the CPU share of KV at full sequence length, forced by capacity.
 	alpha := 0.0
@@ -74,7 +62,7 @@ func Optimize(ctx *Context) Params {
 	}
 
 	best := Params{Alpha: alpha, Beta: 0, P1: p1, P2: ctx.Output,
-		PredictedSeconds: predictCost(ctx, budget, p1, ctx.Output, 0)}
+		PredictedSeconds: predictCost(ctx, budget, ctx.Output, 0)}
 	if p1 >= ctx.Output {
 		// Everything fits on the GPU; Phases II and III never trigger.
 		return best
@@ -87,7 +75,7 @@ func Optimize(ctx *Context) Params {
 	for _, beta := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		for frac := 0.125; frac <= 1.0; frac += 0.125 {
 			p2 := p1 + int(frac*float64(ctx.Output-p1))
-			cost := predictCost(ctx, budget, p1, p2, beta)
+			cost := predictCost(ctx, budget, p2, beta)
 			if cost < best.PredictedSeconds {
 				best = Params{Alpha: alpha, Beta: beta, P1: p1, P2: p2, PredictedSeconds: cost}
 			}
@@ -96,12 +84,22 @@ func Optimize(ctx *Context) Params {
 	return best
 }
 
+// phaseIIStart returns the GPU's KV budget in token positions and p1,
+// the first decode step at which cached tokens exceed it (the Phase II
+// trigger), clamped to [0, Output]: offloading starts at prefill when
+// even the prompt does not fit, and p1 == Output means everything fits.
+// Optimize and Alisa.Init share it so their everything-fits tests agree.
+func phaseIIStart(ctx *Context) (budget, p1 int) {
+	budget = int(ctx.Sys.GPUHeadroom() / ctx.TokenBytes())
+	return budget, min(max(budget-ctx.Input, 0), ctx.Output)
+}
+
 // predictCost evaluates Eq. 5 for one parameter candidate with a
 // closed-form placement recurrence: the layout is always, oldest to
 // newest, [deleted | cpu | gpu], matching the scheduler's oldest-first
 // eviction, so per-step fetch and recompute expectations follow from three
 // counters.
-func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
+func predictCost(ctx *Context, budget, p2 int, beta float64) float64 {
 	var total float64
 	gpu := minInt(ctx.Input, budget)
 	cpu := ctx.Input - gpu
@@ -156,7 +154,6 @@ func predictCost(ctx *Context, budget, p1, p2 int, beta float64) float64 {
 			}
 		}
 	}
-	_ = p1
 	return total
 }
 

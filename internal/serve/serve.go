@@ -1083,10 +1083,13 @@ func (s *server) iterate() error {
 	// Advance step counters and retire finished sequences. Token events
 	// fire before the completion they may trigger, so a subscriber sees
 	// every request's lifecycle close in order: ... token, completion.
+	// They go out only while the observer takes them; a completion
+	// callback may subscribe one, so the answer is refreshed after each.
 	finished := 0
+	tokens := events.WantsTokens(s.cfg.Observer)
 	for _, p := range plans {
 		p.st.j++
-		if s.cfg.Observer != nil {
+		if tokens {
 			s.cfg.Observer.OnToken(events.Token{
 				Request: p.st.req.ID, Clock: s.sys.Clock(), Index: p.st.j,
 			})
@@ -1094,6 +1097,7 @@ func (s *server) iterate() error {
 		if p.st.j >= p.st.req.Output {
 			s.complete(p.st)
 			finished++
+			tokens = events.WantsTokens(s.cfg.Observer)
 		}
 	}
 	if finished > 0 {

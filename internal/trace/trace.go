@@ -32,12 +32,27 @@ var categories = [...]Category{
 }
 
 // slot returns the category's index in categories, or -1 for a string
-// outside the closed set.
+// outside the closed set. It is a switch rather than a scan of
+// categories because every charge resolves one; TestCategorySlots pins
+// the two against each other.
 func (c Category) slot() int {
-	for i, k := range categories {
-		if k == c {
-			return i
-		}
+	switch c {
+	case CatFFN:
+		return 0
+	case CatFullForward:
+		return 1
+	case CatMHA:
+		return 2
+	case CatOther:
+		return 3
+	case CatPrefill:
+		return 4
+	case CatQuant:
+		return 5
+	case CatRecompute:
+		return 6
+	case CatTransfer:
+		return 7
 	}
 	return -1
 }

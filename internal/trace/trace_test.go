@@ -190,6 +190,18 @@ func TestBreakdownMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestCategorySlots pins slot's switch to the categories order.
+func TestCategorySlots(t *testing.T) {
+	for i, c := range categories {
+		if got := c.slot(); got != i {
+			t.Errorf("%s.slot() = %d, want %d", c, got, i)
+		}
+	}
+	if got := Category("bogus").slot(); got != -1 {
+		t.Errorf("unknown category slot = %d, want -1", got)
+	}
+}
+
 func TestBreakdownUnknownCategory(t *testing.T) {
 	b := NewBreakdown()
 	if b.Get("bogus") != 0 {

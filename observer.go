@@ -12,6 +12,17 @@ import "repro/internal/events"
 //
 // Implement the interface directly, or use ObserverFuncs to subscribe to
 // a subset of events.
+//
+// Token events come once per generated token, so an observer that does
+// not need them can say so with an optional method:
+//
+//	WantsTokens() bool
+//
+// The serving loop asks before each decode iteration's token events and
+// again after every completion event, and skips OnToken while no
+// observer wants tokens. ObserverFuncs answers true exactly when its
+// Token callback is set, and MultiObserver/SynchronizedObserver ask
+// their members. An observer without the method receives every token.
 type Observer = events.Observer
 
 // StepEvent reports one completed decode step (Simulate) or one
@@ -27,8 +38,8 @@ type FirstTokenEvent = events.FirstToken
 
 // TokenEvent reports one generated output token of one request, emitted
 // once per active sequence per decode iteration (Serve and Session).
-// Leave the callback nil unless you need token-level streaming; a nil
-// subscriber costs nothing.
+// Leave the callback nil unless you need token-level streaming; while no
+// observer wants tokens (see Observer's WantsTokens), none are emitted.
 type TokenEvent = events.Token
 
 // PreemptionEvent reports a sequence losing its KV under memory pressure
@@ -40,7 +51,8 @@ type PreemptionEvent = events.Preemption
 type CompletionEvent = events.Completion
 
 // ObserverFuncs adapts a set of optional callbacks to Observer; nil
-// fields ignore their events.
+// fields ignore their events, and a nil Token field opts out of token
+// events (WantsTokens reports false).
 type ObserverFuncs = events.Funcs
 
 // MultiObserver fans every event out to each observer in order; nil

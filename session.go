@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -249,6 +250,20 @@ func (t sessionTap) OnToken(e TokenEvent) {
 	for _, o := range t.s.subs {
 		o.OnToken(e)
 	}
+}
+
+// WantsTokens reports whether the engine's observer or any subscriber
+// takes token events (events.TokenGate); the session itself needs none.
+func (t sessionTap) WantsTokens() bool {
+	if events.WantsTokens(t.s.eng.observer) {
+		return true
+	}
+	for _, o := range t.s.subs {
+		if events.WantsTokens(o) {
+			return true
+		}
+	}
+	return false
 }
 
 func (t sessionTap) OnPreemption(e PreemptionEvent) {
